@@ -11,7 +11,9 @@
 //!
 //! * **Group transfer matrices** — each cut group's term `t` realises a
 //!   channel `C_t` on the cut wires; its Pauli transfer matrix
-//!   `R_t[a, b] = Tr[P_a · C_t(P_b)] / d` is computed once per group.
+//!   `R_t[a, b] = Tr[P_a · C_t(P_b)] / d` is computed once per distinct
+//!   term family in a build (groups with the same NME `k`, or joint
+//!   groups of the same width, share one table).
 //!   NME groups factorise per wire (`[[f64; 4]; 4]` per term); joint-MUB
 //!   terms are dephasing-type channels whose PTM is **diagonal** in the
 //!   Pauli basis, so the nominal `4ⁿ × 4ⁿ` transfer collapses to its
@@ -72,6 +74,7 @@ use qlinalg::Matrix;
 use qsim::{
     fragment_circuit, Circuit, CompiledSampler, Op, Pauli, PauliString, StateVector, Superoperator,
 };
+use std::sync::Arc;
 
 /// Hard cap on incoming cut wires per fragment for the contracted path
 /// (`6^incoming` prep variants per fragment).
@@ -211,7 +214,9 @@ pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
 }
 
 /// One cut group's Pauli transfer matrices, one per QPD term, in the
-/// exact order [`CutGroup::terms`] enumerates them.
+/// exact order [`CutGroup::terms`] enumerates them. The tables are
+/// shared between the groups of one build that use the same term family
+/// (see [`group_transfers`]).
 enum GroupTransfer {
     /// NME groups factorise per wire: every wire shares the same
     /// single-wire term family (`[[f64; 4]; 4]` PTM per term), and the
@@ -219,14 +224,14 @@ enum GroupTransfer {
     /// [`crate::multi::ParallelWireCut`] combination order.
     PerWire {
         wires: usize,
-        per_term: Vec<[[f64; 4]; 4]>,
+        per_term: Arc<[[[f64; 4]; 4]]>,
     },
     /// Joint-MUB groups: every term is a dephasing-type channel, whose
     /// PTM is diagonal in the Pauli basis — `diags[t][a]` is the
     /// eigenvalue of Pauli `a` under term `t` (slot 0 = least
     /// significant base-4 digit). The diagonal *is* the fully sparse
     /// form of the `4ⁿ × 4ⁿ` transfer: `16ⁿ` entries collapse to `4ⁿ`.
-    Joint { diags: Vec<Vec<f64>> },
+    Joint { diags: Arc<[Vec<f64>]> },
 }
 
 impl GroupTransfer {
@@ -239,6 +244,13 @@ impl GroupTransfer {
             GroupTransfer::Joint { diags, .. } => diags.len(),
         }
     }
+}
+
+/// The per-wire term indices of group term `t` over `wires` wires with
+/// `n` terms each, slot by slot: base-`n` digits of `t`, **last wire
+/// fastest** (the [`crate::multi::ParallelWireCut`] order).
+fn wire_terms(t: usize, wires: usize, n: usize) -> impl Iterator<Item = usize> {
+    (0..wires).map(move |slot| t / n.pow((wires - 1 - slot) as u32) % n)
 }
 
 /// The single-wire PTM `r[a][b] = Re Tr[P_a · C(P_b)] / 2` of a channel.
@@ -304,24 +316,47 @@ fn joint_transfer_diagonals(n: usize) -> Vec<Vec<f64>> {
     diags
 }
 
-/// Builds one group's transfer matrices from its protocol.
-fn group_transfer(group: &CutGroup) -> GroupTransfer {
-    match group.protocol {
-        Protocol::Nme { k } => {
-            let per_term: Vec<[[f64; 4]; 4]> = NmeCut::new(k)
-                .terms()
-                .iter()
-                .map(|t| ptm_1q(&term_channel(t)))
-                .collect();
-            GroupTransfer::PerWire {
-                wires: group.num_wires(),
-                per_term,
-            }
-        }
-        Protocol::JointMub => GroupTransfer::Joint {
-            diags: joint_transfer_diagonals(group.num_wires()),
-        },
+/// Builds every group's transfer matrices from its protocol, each
+/// distinct term family once: NME groups at the same `k` share one
+/// per-wire PTM table (the process tomography of the three term
+/// circuits runs once, not once per group), and joint-MUB groups of the
+/// same width share one set of diagonals.
+fn group_transfers(groups: &[CutGroup]) -> Vec<GroupTransfer> {
+    let (mut nme, mut joint) = (Vec::new(), Vec::new());
+    groups
+        .iter()
+        .map(|g| match g.protocol {
+            Protocol::Nme { k } => GroupTransfer::PerWire {
+                wires: g.num_wires(),
+                per_term: shared(&mut nme, k.to_bits(), || {
+                    NmeCut::new(k)
+                        .terms()
+                        .iter()
+                        .map(|t| ptm_1q(&term_channel(t)))
+                        .collect()
+                }),
+            },
+            Protocol::JointMub => GroupTransfer::Joint {
+                diags: shared(&mut joint, g.num_wires(), || {
+                    joint_transfer_diagonals(g.num_wires()).into()
+                }),
+            },
+        })
+        .collect()
+}
+
+/// The `memo` entry for `key`, built by `build` on first use.
+fn shared<K: PartialEq, T: ?Sized>(
+    memo: &mut Vec<(K, Arc<T>)>,
+    key: K,
+    build: impl FnOnce() -> Arc<T>,
+) -> Arc<T> {
+    if let Some((_, table)) = memo.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(table);
     }
+    let table = build();
+    memo.push((key, Arc::clone(&table)));
+    table
 }
 
 /// One fragment's compiled expectation block, in CSR form over the
@@ -453,7 +488,7 @@ impl FragmentBlocks {
         let circuit = plan.circuit();
         assert_eq!(observable.num_qubits(), circuit.num_qubits());
         assert!(observable.is_diagonal());
-        let transfers: Vec<GroupTransfer> = plan.groups.iter().map(group_transfer).collect();
+        let transfers = group_transfers(&plan.groups);
         let group_wires: Vec<Vec<usize>> = plan
             .groups
             .iter()
@@ -694,15 +729,7 @@ impl FragmentBlocks {
         );
         match &self.transfers[gi] {
             GroupTransfer::PerWire { wires, per_term } => {
-                let n = per_term.len();
-                let mut rem = t;
-                let mut idx = vec![0usize; *wires];
-                // Last wire fastest — ParallelWireCut order.
-                for slot in (0..*wires).rev() {
-                    idx[slot] = rem % n;
-                    rem /= n;
-                }
-                for (slot, &ti) in idx.iter().enumerate() {
+                for (slot, ti) in wire_terms(t, *wires, per_term.len()).enumerate() {
                     apply_axis_4(vals, axes[slot], &per_term[ti]);
                 }
                 *wires
@@ -764,25 +791,27 @@ impl FrontierSweep<'_> {
         self.stats.prefix_rebuilds += num_groups - resume;
         self.stats.frontier_ops_uncached += sched.ops_per_term;
         let from_scratch = !self.has_pick;
-        let (mut vals, start_op) = if from_scratch {
-            (vec![1.0f64], 0)
-        } else {
-            (self.snapshots[resume].clone(), sched.group_op[resume])
-        };
-        // Replay ops up to (excluding) the last group's apply,
-        // refreshing the snapshots the new digits invalidated.
         let end_op = sched.group_op[last];
-        for op_i in start_op..end_op {
-            let op = &sched.ops[op_i];
-            if let SweepOp::Apply { group, .. } = op {
-                if *group > resume || from_scratch {
-                    self.snapshots[*group] = vals.clone();
+        // When only the fastest digit moved, `snapshots[last]` is still
+        // valid and nothing before the last apply needs replaying.
+        if from_scratch || resume < last {
+            let (mut vals, start_op) = if from_scratch {
+                (vec![1.0f64], 0)
+            } else {
+                (self.snapshots[resume].clone(), sched.group_op[resume])
+            };
+            // Replay ops up to (excluding) the last group's apply,
+            // refreshing the snapshots the new digits invalidated.
+            for op_i in start_op..end_op {
+                let op = &sched.ops[op_i];
+                if let SweepOp::Apply { group, .. } = op {
+                    if *group > resume || from_scratch {
+                        self.snapshots[*group].clone_from(&vals);
+                    }
                 }
+                self.stats.frontier_ops += self.blocks.exec_op(op, pick, &mut vals);
             }
-            self.stats.frontier_ops += self.blocks.exec_op(op, pick, &mut vals);
-        }
-        if last > resume || from_scratch {
-            self.snapshots[last] = vals.clone();
+            self.snapshots[last] = vals;
         }
         self.last_pick.copy_from_slice(pick);
         self.has_pick = true;
@@ -939,14 +968,7 @@ fn build_fused_tail(
         let mut w = tail.clone();
         match &transfers[last] {
             GroupTransfer::PerWire { wires, per_term } => {
-                let n = per_term.len();
-                let mut rem = t;
-                let mut idx = vec![0usize; *wires];
-                for slot in (0..*wires).rev() {
-                    idx[slot] = rem % n;
-                    rem /= n;
-                }
-                for (slot, &ti) in idx.iter().enumerate() {
+                for (slot, ti) in wire_terms(t, *wires, per_term.len()).enumerate() {
                     let m = &per_term[ti];
                     let mut mt = [[0.0f64; 4]; 4];
                     for (a, row) in m.iter().enumerate() {
@@ -1132,7 +1154,8 @@ mod tests {
                 kappa: JointWireCut::new(n).kappa(),
             };
             let spec = group.spec();
-            let GroupTransfer::Joint { diags, .. } = group_transfer(&group) else {
+            let transfers = group_transfers(std::slice::from_ref(&group));
+            let GroupTransfer::Joint { diags } = &transfers[0] else {
                 panic!("joint group must build a diagonal transfer");
             };
             let dim4 = 1usize << (2 * n);
@@ -1143,6 +1166,65 @@ mod tests {
                     .map(|(diag, t)| t.coefficient * diag[a])
                     .sum();
                 assert!((sum - 1.0).abs() < 1e-9, "n={n}: Σ cᵢ·diag[{a}] = {sum}");
+            }
+        }
+    }
+
+    #[test]
+    fn groups_of_one_family_share_one_transfer_table() {
+        // Two NME groups at one k and two joint groups of one width
+        // share a table each; a second k and a second width get their
+        // own, with the values a lone build of that family produces.
+        let group = |wires: usize, protocol| CutGroup {
+            cuts: (0..wires)
+                .map(|w| crate::planner::PlannedCut {
+                    wire: w,
+                    source_fragment: 0,
+                    dest_fragment: 1,
+                })
+                .collect(),
+            protocol,
+            kappa: 1.0,
+        };
+        let (k1, k2) = (Protocol::Nme { k: 0.5 }, Protocol::Nme { k: 0.25 });
+        let groups = [
+            group(1, k1),
+            group(2, Protocol::JointMub),
+            group(2, k1),
+            group(1, k2),
+            group(2, Protocol::JointMub),
+            group(3, Protocol::JointMub),
+        ];
+        let transfers = group_transfers(&groups);
+        let per_wire = |i: usize| match &transfers[i] {
+            GroupTransfer::PerWire { per_term, .. } => per_term.clone(),
+            GroupTransfer::Joint { .. } => panic!("group {i} is NME"),
+        };
+        let diags = |i: usize| match &transfers[i] {
+            GroupTransfer::Joint { diags } => diags.clone(),
+            GroupTransfer::PerWire { .. } => panic!("group {i} is joint"),
+        };
+        assert!(Arc::ptr_eq(&per_wire(0), &per_wire(2)));
+        assert!(!Arc::ptr_eq(&per_wire(0), &per_wire(3)));
+        assert!(Arc::ptr_eq(&diags(1), &diags(4)));
+        assert!(!Arc::ptr_eq(&diags(1), &diags(5)));
+        assert_eq!(transfers[2].num_terms(), 9);
+        let bits = |t: &[[[f64; 4]; 4]]| -> Vec<u64> {
+            t.iter().flatten().flatten().map(|x| x.to_bits()).collect()
+        };
+        for (i, g) in groups.iter().enumerate() {
+            let alone = group_transfers(std::slice::from_ref(g));
+            match (&transfers[i], &alone[0]) {
+                (
+                    GroupTransfer::PerWire { per_term, .. },
+                    GroupTransfer::PerWire {
+                        per_term: fresh, ..
+                    },
+                ) => assert_eq!(bits(per_term), bits(fresh), "group {i}"),
+                (GroupTransfer::Joint { diags }, GroupTransfer::Joint { diags: fresh }) => {
+                    assert_eq!(diags, fresh, "group {i}")
+                }
+                _ => panic!("group {i} changed kind"),
             }
         }
     }

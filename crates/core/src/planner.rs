@@ -745,17 +745,20 @@ impl CompiledPlan {
         // Row-major enumeration, last group fastest — the same order
         // `QpdSpec::product` uses, so coefficients line up and every
         // consecutive pair of picks shares the longest possible prefix.
-        for combo_idx in 0..total {
-            let mut rem = combo_idx;
-            let mut pick = vec![0usize; lens.len()];
-            for g in (0..lens.len()).rev() {
-                pick[g] = rem % lens[g];
-                rem /= lens[g];
-            }
+        // One pick buffer, stepped in place like an odometer.
+        let mut pick = vec![0usize; lens.len()];
+        for _ in 0..total {
             terms.push(PlanTerm {
                 body: TermBody::Contracted,
                 exact: sweep.term_value(&pick),
             });
+            for g in (0..lens.len()).rev() {
+                pick[g] += 1;
+                if pick[g] < lens[g] {
+                    break;
+                }
+                pick[g] = 0;
+            }
         }
         let stats = sweep.stats();
         let mut backend_report = blocks.backend_report();

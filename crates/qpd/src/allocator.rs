@@ -93,6 +93,14 @@ pub fn neyman_allocation(spec: &QpdSpec, sigmas: &[f64], total: u64) -> Vec<u64>
 /// Largest-remainder apportionment of `total` into parts proportional to
 /// `weights` (finite, non-negative, any positive sum).
 ///
+/// Every part gets the floor of its ideal share; the shots left over go
+/// one each to the parts with the largest fractional remainders, ties
+/// broken by lower index. Only that top set is needed, not its order, so
+/// it is found by selection in `O(len)` rather than by sorting every
+/// index. When floating-point error leaves at least one shot per part,
+/// each whole round goes to every part before the top set takes the
+/// rest.
+///
 /// # Panics
 /// Panics with a uniform message on an empty weight
 /// vector, and with a diagnostic naming the weights if any weight is
@@ -108,24 +116,33 @@ pub fn largest_remainder(weights: &[f64], total: u64) -> Vec<u64> {
     );
     let sum: f64 = weights.iter().sum();
     assert!(sum > 0.0, "zero weight vector: {weights:?}");
-    let ideal: Vec<f64> = weights.iter().map(|w| w / sum * total as f64).collect();
-    let mut counts: Vec<u64> = ideal.iter().map(|x| x.floor() as u64).collect();
-    let mut assigned: u64 = counts.iter().sum();
-    // Distribute the remainder to the largest fractional parts.
-    // `total_cmp` keeps the sort well-defined for every float — the
-    // validation above already excludes NaN, but the comparator no
-    // longer has a panic path at all.
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&i, &j| {
-        let fi = ideal[i] - ideal[i].floor();
-        let fj = ideal[j] - ideal[j].floor();
-        fj.total_cmp(&fi)
-    });
-    let mut idx = 0;
-    while assigned < total {
-        counts[order[idx % order.len()]] += 1;
-        assigned += 1;
-        idx += 1;
+    let mut counts = Vec::with_capacity(weights.len());
+    let mut fractions = Vec::with_capacity(weights.len());
+    for w in weights {
+        let ideal = w / sum * total as f64;
+        let floor = ideal.floor();
+        counts.push(floor as u64);
+        fractions.push(ideal - floor);
+    }
+    let assigned: u64 = counts.iter().sum();
+    let remainder = total.saturating_sub(assigned);
+    let len = weights.len() as u64;
+    if remainder >= len {
+        for c in counts.iter_mut() {
+            *c += remainder / len;
+        }
+    }
+    let extra = (remainder % len) as usize;
+    if extra > 0 {
+        // Fraction descending, then index ascending: a total order, so
+        // its top `extra` set is unique. `total_cmp` has no panic path.
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        order.select_nth_unstable_by(extra - 1, |&i, &j| {
+            fractions[j].total_cmp(&fractions[i]).then(i.cmp(&j))
+        });
+        for &i in &order[..extra] {
+            counts[i] += 1;
+        }
     }
     counts
 }
@@ -219,9 +236,13 @@ impl SequentialAllocator {
     }
 
     /// The pooled estimate `Σᵢ cᵢ · meanᵢ` over everything recorded so
-    /// far. Unbiased for the decomposed expectation as long as every
-    /// term has at least one pooled shot (guaranteed after one batch,
-    /// since [`neyman_allocation`] floors every term at one shot).
+    /// far, counting an unsampled term's mean as 0. Unbiased for the
+    /// decomposed expectation only when every term has at least one
+    /// pooled shot. One batch guarantees that only when it is larger
+    /// than the term count: then [`neyman_allocation`] floors every term
+    /// at one shot. A batch of at most the term count falls back to the
+    /// uniform split, which leaves terms at zero shots and biases the
+    /// estimate.
     pub fn estimate(&self, spec: &QpdSpec) -> f64 {
         assert_eq!(spec.len(), self.sums.len());
         spec.terms()

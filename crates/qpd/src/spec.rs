@@ -12,7 +12,8 @@
 pub struct TermSpec {
     /// Signed quasiprobability coefficient `cᵢ`.
     pub coefficient: f64,
-    /// Human-readable label (e.g. `"tel-H"`, `"meas-prep"`).
+    /// Human-readable label (e.g. `"tel-H"`, `"meas-prep"`); empty on
+    /// the terms of a [`QpdSpec::product`].
     pub label: String,
     /// Entangled pairs consumed per execution of this term.
     pub pairs_consumed: f64,
@@ -124,7 +125,10 @@ impl QpdSpec {
     /// The product QPD of several independent decompositions — the
     /// coefficient structure of a whole multi-cut execution *plan*:
     /// one term per combination of one term from each factor, with
-    /// coefficient `Π cᵢ`, label `l₁⊗l₂⊗…` and summed pair consumption.
+    /// coefficient `Π cᵢ` and summed pair consumption, both folded left
+    /// to right from `1.0` and `0.0` (`((1·c₁)·c₂)·…`). Product terms
+    /// carry an **empty label**: a plan has `Π lenᵢ` of them and nothing
+    /// reads a per-combination name, so none is built.
     ///
     /// Terms are enumerated row-major (the **last** factor's index moves
     /// fastest), matching an odometer over `combo[g] = (i / strideᵍ) %
@@ -147,11 +151,7 @@ impl QpdSpec {
                 for t in spec.terms() {
                     next.push(TermSpec {
                         coefficient: acc.coefficient * t.coefficient,
-                        label: if acc.label.is_empty() {
-                            t.label.clone()
-                        } else {
-                            format!("{}⊗{}", acc.label, t.label)
-                        },
+                        label: String::new(),
                         pairs_consumed: acc.pairs_consumed + t.pairs_consumed,
                     });
                 }
@@ -239,10 +239,22 @@ mod tests {
         assert_eq!(p.len(), 6);
         assert!((p.kappa() - a.kappa() * b.kappa()).abs() < 1e-12);
         assert!(p.validate(1e-12).is_ok());
-        // Row-major order: last factor fastest.
-        assert_eq!(p.terms()[0].label, "meas-H⊗tel");
-        assert_eq!(p.terms()[1].label, "meas-H⊗mp");
-        assert_eq!(p.terms()[2].label, "meas-SH⊗tel");
+        // Row-major order, last factor fastest: (a₀b₀, a₀b₁, a₁b₀, …),
+        // each coefficient folded as (1·aᵢ)·bⱼ and each pair count as
+        // (0 + aᵢ) + bⱼ, bit for bit.
+        for (idx, t) in p.terms().iter().enumerate() {
+            let (x, y) = (&a.terms()[idx / 2], &b.terms()[idx % 2]);
+            assert_eq!(
+                t.coefficient.to_bits(),
+                (1.0 * x.coefficient * y.coefficient).to_bits()
+            );
+            assert_eq!(
+                t.pairs_consumed.to_bits(),
+                (0.0 + x.pairs_consumed + y.pairs_consumed).to_bits()
+            );
+            assert!(t.label.is_empty(), "product term {idx} carries a label");
+        }
+        assert_eq!(p.coefficients(), vec![0.75, 0.25, 0.75, 0.25, -0.75, -0.25]);
         // Pairs add across factors.
         assert!((p.terms()[0].pairs_consumed - 1.0).abs() < 1e-12);
         assert!((p.terms()[1].pairs_consumed - 0.0).abs() < 1e-12);
@@ -254,8 +266,9 @@ mod tests {
         let p = QpdSpec::product(std::slice::from_ref(&a));
         assert_eq!(p.len(), a.len());
         for (x, y) in p.terms().iter().zip(a.terms().iter()) {
-            assert!((x.coefficient - y.coefficient).abs() < 1e-15);
-            assert_eq!(x.label, y.label);
+            assert_eq!(x.coefficient.to_bits(), y.coefficient.to_bits());
+            assert_eq!(x.pairs_consumed.to_bits(), y.pairs_consumed.to_bits());
+            assert!(x.label.is_empty());
         }
     }
 

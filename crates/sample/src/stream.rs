@@ -29,9 +29,11 @@
 //! BigCrush as `mix64(i·γ)`) applied to the right half xored with a
 //! per-round key schedule. Four rounds is the Luby–Rackoff threshold
 //! for a strong pseudorandom permutation from good round functions; the
-//! result is statistically solid for Monte Carlo use and cheap — six
-//! finalizer evaluations per 64-bit output — but, like everything in
-//! this workspace's sampling stack, not cryptographically secure.
+//! result is statistically solid for Monte Carlo use and cheap — nine
+//! finalizer evaluations per 64-bit output (four round keys recomputed
+//! on every call, four rounds and one final fold) — but, like
+//! everything in this workspace's sampling stack, not cryptographically
+//! secure.
 
 use rand::RngCore;
 

@@ -113,6 +113,88 @@ proptest! {
     }
 }
 
+// ---- largest remainder against the full-sort oracle -----------------
+
+/// The reference apportionment: floor every ideal share, stable-sort
+/// all indices by fractional part (descending, ties in index order) and
+/// hand out the remaining shots along that order, wrapping around when
+/// floating-point error leaves at least one shot per term.
+fn largest_remainder_full_sort(weights: &[f64], total: u64) -> Vec<u64> {
+    let sum: f64 = weights.iter().sum();
+    let ideal: Vec<f64> = weights.iter().map(|w| w / sum * total as f64).collect();
+    let mut counts: Vec<u64> = ideal.iter().map(|x| x.floor() as u64).collect();
+    let mut assigned: u64 = counts.iter().sum();
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by(|&i, &j| {
+        let fi = ideal[i] - ideal[i].floor();
+        let fj = ideal[j] - ideal[j].floor();
+        fj.total_cmp(&fi)
+    });
+    let mut idx = 0;
+    while assigned < total {
+        counts[order[idx % order.len()]] += 1;
+        assigned += 1;
+        idx += 1;
+    }
+    counts
+}
+
+/// Tie-heavy weight vectors: 1–7000 entries, each one of at most four
+/// palette values (sevenths, so the ideal shares carry inexact binary
+/// fractions), and a budget anywhere in `0..=10·len`.
+fn arb_tied_weights() -> impl Strategy<Value = (Vec<f64>, u64)> {
+    (
+        prop_vec(0u32..9, 4..5),
+        prop_vec(0usize..4, 1..7001),
+        0u64..70_001,
+    )
+        .prop_map(|(palette, picks, raw_total)| {
+            let weights: Vec<f64> = picks.iter().map(|&p| palette[p] as f64 / 7.0).collect();
+            let total = raw_total % (10 * weights.len() as u64 + 1);
+            (weights, total)
+        })
+        .prop_filter("need nonzero mass", |(ws, _)| ws.iter().sum::<f64>() > 0.0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn largest_remainder_matches_the_full_sort_oracle(case in arb_tied_weights()) {
+        let (weights, total) = case;
+        let alloc = largest_remainder(&weights, total);
+        prop_assert_eq!(alloc, largest_remainder_full_sort(&weights, total));
+    }
+}
+
+#[test]
+fn largest_remainder_matches_the_oracle_at_the_edges() {
+    // Budgets at and around the term count, where the remainder pass
+    // hands out the most shots, and heavy ties throughout.
+    for len in [1usize, 2, 3, 7, 729, 6561] {
+        let weights: Vec<f64> = (0..len).map(|i| [1.0, 1.0, 3.0][i % 3] / 7.0).collect();
+        let n = len as u64;
+        for total in [0, 1, n - 1, n, n + 1, 10 * n] {
+            assert_eq!(
+                largest_remainder(&weights, total),
+                largest_remainder_full_sort(&weights, total),
+                "len {len} total {total}"
+            );
+        }
+    }
+    // Five equal weights of 3/7 normalise to a share just below 1/5, so
+    // every ideal share floors one short and the remainder equals the
+    // term count: the hand-out wraps around once.
+    let weights = [3.0 / 7.0; 5];
+    let sum: f64 = weights.iter().sum();
+    assert!(
+        (weights[0] / sum * 10.0).floor() < 2.0,
+        "the wrap-around edge is no longer reached"
+    );
+    assert_eq!(largest_remainder(&weights, 10), vec![2; 5]);
+    assert_eq!(largest_remainder_full_sort(&weights, 10), vec![2; 5]);
+}
+
 // ---- budgets smaller than the term count ----------------------------
 
 #[test]

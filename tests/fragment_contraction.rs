@@ -22,10 +22,10 @@ use nme_wire_cutting::qsim::{greedy_fragments, random_unitary_circuit, Circuit, 
 use nme_wire_cutting::wirecut::service::{CutService, EstimationJob};
 use nme_wire_cutting::wirecut::{
     contraction_ineligibility, supports_contraction, uncut_plan_expectation, CompiledPlan,
-    CutPlanner, FragmentBlocks, PlanBackend, Protocol, MAX_INCOMING, MAX_JOINT_WIRES,
+    CutPlanner, FragmentBlocks, PlanBackend, Protocol, SweepStats, MAX_INCOMING, MAX_JOINT_WIRES,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The randomized workload grid: ≥ 20 circuits spanning widths 3–6,
 /// budgets strictly below the width, and overlaps on both sides of the
@@ -291,6 +291,94 @@ fn six_cut_ladder_prefix_cache_saves_5x_frontier_ops() {
     // And the cached sweep is still the exact decomposition.
     let uncut = uncut_plan_expectation(&circuit, &observable);
     assert!((compiled.exact_value() - uncut).abs() < 1e-8);
+}
+
+/// Every pick of a plan's product odometer, in `QpdSpec::product` order
+/// (last group fastest).
+fn odometer_picks(lens: &[usize]) -> Vec<Vec<usize>> {
+    let total: usize = lens.iter().product();
+    let mut pick = vec![0usize; lens.len()];
+    let mut picks = Vec::with_capacity(total);
+    for _ in 0..total {
+        picks.push(pick.clone());
+        for g in (0..lens.len()).rev() {
+            pick[g] += 1;
+            if pick[g] < lens[g] {
+                break;
+            }
+            pick[g] = 0;
+        }
+    }
+    picks
+}
+
+#[test]
+fn sweep_values_depend_only_on_the_pick() {
+    // The sweep's contract: a term's value is a function of its pick
+    // alone, never of the order picks arrive in or of which snapshot a
+    // term resumes from. One sweep in odometer order and a fresh sweep
+    // over the same picks shuffled must agree bit for bit.
+    let circuit = cx_ladder(6);
+    let plan = CutPlanner::new(2).with_overlap(0.8).plan(&circuit);
+    assert_eq!(plan.num_cuts(), 6, "ladder plan shape drifted");
+    let blocks = FragmentBlocks::build(&plan, &PauliString::from_label(&"Z".repeat(8)));
+    let picks = odometer_picks(&blocks.group_lens());
+    assert_eq!(picks.len(), 729);
+    let mut sweep = blocks.sweep();
+    let in_order: Vec<u64> = picks
+        .iter()
+        .map(|p| sweep.term_value(p).to_bits())
+        .collect();
+    let mut order: Vec<usize> = (0..picks.len()).collect();
+    let mut rng = StdRng::seed_from_u64(0x5EEB);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut shuffled = blocks.sweep();
+    for &i in &order {
+        assert_eq!(
+            shuffled.term_value(&picks[i]).to_bits(),
+            in_order[i],
+            "pick {:?} changed value with the evaluation order",
+            picks[i]
+        );
+    }
+}
+
+#[test]
+fn eight_cut_ladder_sweep_counters_are_pinned() {
+    // The 8-cut width-2 ladder's full odometer sweep (3⁸ = 6561 terms):
+    // the op and prefix-cache counters are exact functions of the plan
+    // shape, pinned here so an evaluation speed-up cannot move them.
+    let circuit = cx_ladder(8);
+    let plan = CutPlanner::new(2).with_overlap(0.9).plan(&circuit);
+    assert_eq!(plan.num_cuts(), 8, "ladder plan shape drifted");
+    let observable = PauliString::from_label(&"Z".repeat(10));
+    let blocks = FragmentBlocks::build(&plan, &observable);
+    let mut sweep = blocks.sweep();
+    for pick in odometer_picks(&blocks.group_lens()) {
+        sweep.term_value(&pick);
+    }
+    // One from-scratch term, then 6560 resumes: 4374 of them move only
+    // the fastest digit (one fused dot each), the rest rebuild from
+    // their first changed digit.
+    let stats = sweep.stats();
+    assert_eq!(
+        stats,
+        SweepStats {
+            terms: 6561,
+            frontier_ops: 13120,
+            frontier_ops_uncached: 111_537,
+            prefix_hits: 42_648,
+            prefix_rebuilds: 9840,
+        }
+    );
+    // The compile path reports the same counters.
+    let report = CompiledPlan::compile(&plan, &observable).backend_report();
+    assert_eq!(report.frontier_ops, stats.frontier_ops);
+    assert_eq!(report.frontier_ops_uncached, stats.frontier_ops_uncached);
+    assert_eq!(report.prefix_hits, stats.prefix_hits);
+    assert_eq!(report.prefix_rebuilds, stats.prefix_rebuilds);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use nme_wire_cutting::experiments::plan_cut::tractable_random_circuit;
 use nme_wire_cutting::experiments::stats::qpd_wilson_band;
-use nme_wire_cutting::qpd::{estimate_allocated, Allocator};
+use nme_wire_cutting::qpd::{estimate_allocated, Allocator, QpdSpec};
 use nme_wire_cutting::qsim::PauliString;
 use nme_wire_cutting::wirecut::{uncut_plan_expectation, CompiledPlan, CutPlanner};
 use rand::rngs::StdRng;
@@ -92,14 +92,15 @@ fn plans_are_deterministic_for_a_fixed_seed() {
     );
     assert_eq!(format!("{:?}", pa.fragments), format!("{:?}", pb.fragments));
     assert_eq!(format!("{:?}", pa.groups), format!("{:?}", pb.groups));
-    // And the compiled spec enumerates identical term structure.
+    // And the compiled spec enumerates identical term structure: the
+    // same coefficients, bit for bit, in the same order.
     let obs = PauliString::from_label("ZZZZ");
     let sa = CompiledPlan::compile(&pa, &obs);
     let sb = CompiledPlan::compile(&pb, &obs);
-    let la: Vec<&str> = sa.spec.terms().iter().map(|t| t.label.as_str()).collect();
-    let lb: Vec<&str> = sb.spec.terms().iter().map(|t| t.label.as_str()).collect();
-    assert_eq!(la, lb);
-    assert!((sa.spec.kappa() - sb.spec.kappa()).abs() < 1e-15);
+    let bits =
+        |spec: &QpdSpec| -> Vec<u64> { spec.coefficients().iter().map(|c| c.to_bits()).collect() };
+    assert_eq!(bits(&sa.spec), bits(&sb.spec));
+    assert_eq!(sa.spec.kappa().to_bits(), sb.spec.kappa().to_bits());
 }
 
 #[test]

@@ -10,6 +10,7 @@
 //! * the compiled-plan cache dedupes by content and the streamed batch
 //!   partials are consistent with the final outcome.
 
+use nme_wire_cutting::qsample::KeyHasher;
 use nme_wire_cutting::qsim::{Circuit, PauliString};
 use nme_wire_cutting::wirecut::planner::CutPlanner;
 use nme_wire_cutting::wirecut::service::{AllocationMode, CutService, EstimationJob};
@@ -187,4 +188,46 @@ fn streamed_partials_are_consistent_with_the_outcome() {
         errs.last().unwrap() <= &worst,
         "final partial is the worst estimate: {errs:?}"
     );
+}
+
+/// A 10-qubit ry/CX ladder with fixed angles: rung by rung, each wire
+/// gets an `ry` before and after its CX, so width-2 packing yields nine
+/// two-qubit fragments joined by eight NME cuts (3⁸ = 6561 terms).
+fn golden_ladder() -> Circuit {
+    let n = 10;
+    let angle = |i: usize| 0.17 + 0.29 * i as f64;
+    let mut c = Circuit::new(n, 0);
+    c.ry(angle(0), 0);
+    for q in 0..n - 1 {
+        c.ry(angle(2 * q + 1), q + 1);
+        c.cx(q, q + 1);
+        c.ry(angle(2 * q + 2), q + 1);
+    }
+    c
+}
+
+#[test]
+fn golden_cold_job_is_pinned_bit_for_bit() {
+    // One cold 8-cut job (f = 0.9, κ ≈ 4.98) pinned to exact bits. Plan
+    // compilation (product spec, fragment blocks, group transfers, the
+    // odometer sweep) and shot allocation (largest remainder inside
+    // sequential Neyman) all feed these three words, so a speed-up in
+    // any of them must leave the bits where they are.
+    let svc = CutService::new(CutPlanner::new(2).with_overlap(0.9));
+    let observable = PauliString::from_label(&"Z".repeat(10));
+    let job = EstimationJob::new(golden_ladder(), observable, 1 << 16, 0x601D)
+        .with_batches(4)
+        .with_mode(AllocationMode::Sequential);
+    let out = svc.run_job(&job);
+    assert!(!out.cache_hit);
+    assert_eq!(out.allocation.len(), 6561);
+    assert_eq!(out.allocation.iter().sum::<u64>(), 1 << 16);
+    let mut h = KeyHasher::new();
+    for &n in &out.allocation {
+        h.absorb(n);
+    }
+    // estimate ≈ 0.142604, exact ≈ 0.146570.
+    assert_eq!(out.estimate.to_bits(), 0x3fc2_40d6_4752_6a24);
+    assert_eq!(out.exact.to_bits(), 0x3fc2_c2d0_4f3b_e419);
+    assert_eq!(h.finish(), 0x4f34_5efa_a224_bd4f);
 }
