@@ -680,8 +680,9 @@ impl FragmentBlocks {
     pub fn term_value(&self, pick: &[usize]) -> f64 {
         assert_eq!(pick.len(), self.transfers.len());
         let mut vals = vec![1.0f64];
+        let mut scratch = Vec::new();
         for op in &self.schedule.ops {
-            self.exec_op(op, pick, &mut vals);
+            self.exec_op(op, pick, &mut vals, &mut scratch);
         }
         debug_assert_eq!(vals.len(), 1);
         vals[0]
@@ -697,20 +698,29 @@ impl FragmentBlocks {
             last_pick: vec![0; self.transfers.len()],
             has_pick: false,
             snapshots: vec![Vec::new(); self.transfers.len()],
+            work: Vec::new(),
+            scratch: Vec::new(),
             stats: SweepStats::default(),
         }
     }
 
     /// Executes one schedule op against the frontier, returning the
-    /// frontier multiplications performed.
-    fn exec_op(&self, op: &SweepOp, pick: &[usize], vals: &mut Vec<f64>) -> usize {
+    /// frontier multiplications performed. An absorb builds the new
+    /// frontier in `scratch` and swaps it in (see [`absorb_sparse`]).
+    fn exec_op(
+        &self,
+        op: &SweepOp,
+        pick: &[usize],
+        vals: &mut Vec<f64>,
+        scratch: &mut Vec<f64>,
+    ) -> usize {
         match op {
             SweepOp::Absorb {
                 fragment,
                 in_pos,
                 rest_pos,
             } => {
-                absorb_sparse(&self.blocks[*fragment], in_pos, rest_pos, vals);
+                absorb_sparse(&self.blocks[*fragment], in_pos, rest_pos, vals, scratch);
                 1
             }
             SweepOp::Apply { group, axes } => self.apply_group(*group, pick, axes, vals),
@@ -753,6 +763,10 @@ impl FragmentBlocks {
 /// pick-independent tail after the last apply is pre-folded into a
 /// per-term dot table, so the common case (only the fastest
 /// digit moved) is a single dot product against the last snapshot.
+///
+/// Every frontier lives in a buffer the sweep owns and reuses: once
+/// the buffers have grown to the plan's frontier sizes, evaluating a
+/// term allocates nothing.
 pub struct FrontierSweep<'a> {
     blocks: &'a FragmentBlocks,
     last_pick: Vec<usize>,
@@ -760,6 +774,11 @@ pub struct FrontierSweep<'a> {
     /// `snapshots[g]`: frontier values before group `g`'s apply, valid
     /// for the current `last_pick` prefix of length `g`.
     snapshots: Vec<Vec<f64>>,
+    /// The frontier being replayed (or run through an unfused tail).
+    work: Vec<f64>,
+    /// Where each absorb builds the next frontier before swapping it
+    /// into `work`.
+    scratch: Vec<f64>,
     stats: SweepStats,
 }
 
@@ -795,10 +814,13 @@ impl FrontierSweep<'_> {
         // When only the fastest digit moved, `snapshots[last]` is still
         // valid and nothing before the last apply needs replaying.
         if from_scratch || resume < last {
-            let (mut vals, start_op) = if from_scratch {
-                (vec![1.0f64], 0)
+            let start_op = if from_scratch {
+                self.work.clear();
+                self.work.push(1.0);
+                0
             } else {
-                (self.snapshots[resume].clone(), sched.group_op[resume])
+                self.work.clone_from(&self.snapshots[resume]);
+                sched.group_op[resume]
             };
             // Replay ops up to (excluding) the last group's apply,
             // refreshing the snapshots the new digits invalidated.
@@ -806,32 +828,37 @@ impl FrontierSweep<'_> {
                 let op = &sched.ops[op_i];
                 if let SweepOp::Apply { group, .. } = op {
                     if *group > resume || from_scratch {
-                        self.snapshots[*group].clone_from(&vals);
+                        self.snapshots[*group].clone_from(&self.work);
                     }
                 }
-                self.stats.frontier_ops += self.blocks.exec_op(op, pick, &mut vals);
+                self.stats.frontier_ops +=
+                    self.blocks
+                        .exec_op(op, pick, &mut self.work, &mut self.scratch);
             }
-            self.snapshots[last] = vals;
+            // The replayed frontier becomes the last snapshot; the old
+            // one's buffer becomes the next working frontier.
+            std::mem::swap(&mut self.snapshots[last], &mut self.work);
         }
         self.last_pick.copy_from_slice(pick);
         self.has_pick = true;
-        let before_last = &self.snapshots[last];
         if let Some(fused) = &sched.fused_tail {
             self.stats.frontier_ops += 1;
             fused[pick[last]]
                 .iter()
-                .zip(before_last)
+                .zip(&self.snapshots[last])
                 .map(|(w, v)| w * v)
                 .sum()
         } else {
             // Tail too large to fuse: run the last apply and the
-            // trailing absorbs on a scratch frontier.
-            let mut tail = before_last.clone();
+            // trailing absorbs on the working frontier.
+            self.work.clone_from(&self.snapshots[last]);
             for op in &sched.ops[end_op..] {
-                self.stats.frontier_ops += self.blocks.exec_op(op, pick, &mut tail);
+                self.stats.frontier_ops +=
+                    self.blocks
+                        .exec_op(op, pick, &mut self.work, &mut self.scratch);
             }
-            debug_assert_eq!(tail.len(), 1);
-            tail[0]
+            debug_assert_eq!(self.work.len(), 1);
+            self.work[0]
         }
     }
 
@@ -946,8 +973,10 @@ fn build_fused_tail(
     // The tail functional: run the trailing absorbs on each basis
     // vector of the frontier before the last apply.
     let mut tail = vec![0.0f64; dim];
+    let (mut vals, mut scratch) = (Vec::new(), Vec::new());
     for (e, out) in tail.iter_mut().enumerate() {
-        let mut vals = vec![0.0f64; dim];
+        vals.clear();
+        vals.resize(dim, 0.0);
         vals[e] = 1.0;
         for op in &ops[apply_i + 1..] {
             let SweepOp::Absorb {
@@ -958,7 +987,13 @@ fn build_fused_tail(
             else {
                 unreachable!("the last apply is the schedule's final Apply op");
             };
-            absorb_sparse(&blocks[*fragment], in_pos, rest_pos, &mut vals);
+            absorb_sparse(
+                &blocks[*fragment],
+                in_pos,
+                rest_pos,
+                &mut vals,
+                &mut scratch,
+            );
         }
         debug_assert_eq!(vals.len(), 1);
         *out = vals[0];
@@ -991,11 +1026,21 @@ fn build_fused_tail(
 
 /// Contracts one fragment's CSR block into the frontier: sums out the
 /// fragment's incoming axes against the frontier and appends its
-/// outgoing axes. Frontier index: axis `k` is base-4 digit `k`.
-fn absorb_sparse(block: &FragmentBlock, in_pos: &[usize], rest_pos: &[usize], vals: &mut Vec<f64>) {
+/// outgoing axes. Frontier index: axis `k` is base-4 digit `k`. The new
+/// frontier is built in `scratch` and swapped into `vals`, leaving the
+/// old frontier's buffer in `scratch` for the next absorb to reuse.
+fn absorb_sparse(
+    block: &FragmentBlock,
+    in_pos: &[usize],
+    rest_pos: &[usize],
+    vals: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
+) {
     let n_out = block.out_slots.len();
     let n_rest = rest_pos.len();
-    let mut next = vec![0.0f64; 1usize << (2 * (n_rest + n_out))];
+    let next = scratch;
+    next.clear();
+    next.resize(1usize << (2 * (n_rest + n_out)), 0.0);
     for (o, &v) in vals.iter().enumerate() {
         if v == 0.0 {
             continue;
@@ -1012,7 +1057,7 @@ fn absorb_sparse(block: &FragmentBlock, in_pos: &[usize], rest_pos: &[usize], va
             next[rest | ((block.cols[k] as usize) << (2 * n_rest))] += block.vals[k] * v;
         }
     }
-    *vals = next;
+    std::mem::swap(vals, next);
 }
 
 /// In-place single-axis PTM application: `val'[.., a, ..] =
@@ -1328,5 +1373,63 @@ mod tests {
             s.frontier_ops,
             s.frontier_ops_uncached
         );
+    }
+
+    #[test]
+    fn unfused_tail_sweep_is_the_from_scratch_reference_bit_for_bit() {
+        // With the tail unfused, every term replays the very ops
+        // `term_value` runs from scratch, on bit-identical snapshots,
+        // through the sweep's reused buffers — so the two agree bit for
+        // bit in any evaluation order. Covers a single-wire NME chain
+        // and a re-entrant chain whose 2-wire joint-MUB group skips a
+        // fragment (the frontier widens and narrows between absorbs).
+        let mut reentrant = Circuit::new(5, 0);
+        reentrant
+            .ry(0.4, 0)
+            .cx(0, 1)
+            .cx(1, 2)
+            .cx(2, 3)
+            .cx(3, 4)
+            .cx(4, 0)
+            .cx(0, 1);
+        for (c, budget, overlap, joint) in [(ladder(5), 2, 0.8, false), (reentrant, 3, 0.52, true)]
+        {
+            let obs = PauliString::from_label(&"Z".repeat(5));
+            let plan = CutPlanner::new(budget).with_overlap(overlap).plan(&c);
+            assert_eq!(
+                plan.groups.iter().any(|g| g.protocol == Protocol::JointMub),
+                joint
+            );
+            let mut blocks = FragmentBlocks::build(&plan, &obs);
+            assert!(blocks.schedule.fused_tail.is_some());
+            blocks.schedule.fused_tail = None;
+            let lens = blocks.group_lens();
+            assert!(
+                lens.len() > 1,
+                "budget {budget}: needs a multi-group odometer"
+            );
+            let total: usize = lens.iter().product();
+            let pick_of = |combo: usize| {
+                let mut rem = combo;
+                let mut pick = vec![0usize; lens.len()];
+                for g in (0..lens.len()).rev() {
+                    pick[g] = rem % lens[g];
+                    rem /= lens[g];
+                }
+                pick
+            };
+            for order in [(0..total).collect::<Vec<_>>(), (0..total).rev().collect()] {
+                let mut sweep = blocks.sweep();
+                for combo in order {
+                    let pick = pick_of(combo);
+                    assert_eq!(
+                        sweep.term_value(&pick).to_bits(),
+                        blocks.term_value(&pick).to_bits(),
+                        "budget {budget}, pick {pick:?}"
+                    );
+                }
+                assert!(sweep.stats().prefix_hits > 0);
+            }
+        }
     }
 }

@@ -51,6 +51,7 @@ use crate::multi::{MultiCutTerm, ParallelWireCut};
 use crate::nme::NmeCut;
 use crate::term::WireCut;
 use qpd::{QpdSpec, TermSampler};
+use qsample::Binomial;
 use qsim::{fragments_by_width, Circuit, CompiledSampler, Fragment, Instruction, Op, PauliString};
 use rand::Rng;
 
@@ -501,8 +502,10 @@ enum TermBody {
     /// *distributionally identical* to the stitched term: a stitched
     /// draw is ±1 with `P(+1) = (1 + ⟨O⟩)/2` no matter how the branch
     /// tree decomposes it (the sum of per-leaf binomials over a
-    /// multinomial collapses to one binomial).
-    Contracted,
+    /// multinomial collapses to one binomial). The law
+    /// `B(·, (1 + exact)/2)` is prepared once at compile time, so a
+    /// batched draw pays for none of its `p`-only constants.
+    Contracted(Binomial),
 }
 
 /// One compiled plan term for one combination of per-group QPD terms.
@@ -517,7 +520,7 @@ impl PlanTerm {
     /// `true` when this term is evaluated by tensor contraction instead
     /// of a stitched circuit.
     pub fn is_contracted(&self) -> bool {
-        matches!(self.body, TermBody::Contracted)
+        matches!(self.body, TermBody::Contracted(_))
     }
 
     /// Number of qubits of the stitched circuit (`None` for contracted
@@ -525,7 +528,7 @@ impl PlanTerm {
     pub fn num_qubits(&self) -> Option<usize> {
         match &self.body {
             TermBody::Stitched { num_qubits, .. } => Some(*num_qubits),
-            TermBody::Contracted => None,
+            TermBody::Contracted(_) => None,
         }
     }
 
@@ -537,7 +540,7 @@ impl PlanTerm {
     pub fn clifford_prefix(&self) -> Option<qsim::CliffordPrefix> {
         match &self.body {
             TermBody::Stitched { sampler, .. } => Some(sampler.clifford_prefix()),
-            TermBody::Contracted => None,
+            TermBody::Contracted(_) => None,
         }
     }
 
@@ -546,7 +549,7 @@ impl PlanTerm {
     pub fn fusion_stats(&self) -> Option<qsim::FusionStats> {
         match &self.body {
             TermBody::Stitched { sampler, .. } => Some(sampler.fusion_stats()),
-            TermBody::Contracted => None,
+            TermBody::Contracted(_) => None,
         }
     }
 }
@@ -568,7 +571,7 @@ impl TermSampler for PlanTerm {
                     -1.0
                 }
             }
-            TermBody::Contracted => {
+            TermBody::Contracted(_) => {
                 let p_plus = (1.0 + self.exact) / 2.0;
                 if rng.gen::<f64>() < p_plus {
                     1.0
@@ -606,9 +609,8 @@ impl TermSampler for PlanTerm {
                 }
                 sum
             }
-            TermBody::Contracted => {
-                let p_plus = ((1.0 + self.exact) / 2.0).clamp(0.0, 1.0);
-                let plus = qsample::binomial(shots, p_plus, rng);
+            TermBody::Contracted(law) => {
+                let plus = law.sample(shots, rng);
                 2.0 * plus as f64 - shots as f64
             }
         }
@@ -748,9 +750,10 @@ impl CompiledPlan {
         // One pick buffer, stepped in place like an odometer.
         let mut pick = vec![0usize; lens.len()];
         for _ in 0..total {
+            let exact = sweep.term_value(&pick);
             terms.push(PlanTerm {
-                body: TermBody::Contracted,
-                exact: sweep.term_value(&pick),
+                body: TermBody::Contracted(Binomial::new(((1.0 + exact) / 2.0).clamp(0.0, 1.0))),
+                exact,
             });
             for g in (0..lens.len()).rev() {
                 pick[g] += 1;

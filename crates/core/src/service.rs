@@ -308,9 +308,19 @@ impl CutService {
         let samplers = plan.samplers();
         let num_terms = plan.spec.len();
         let mut seq = SequentialAllocator::new(num_terms);
-        let mut updates = Vec::with_capacity(job.batches as usize);
+        // At most one update per shot: a job with far more batches than
+        // shots must not reserve (or walk) one slot per empty batch.
+        let mut updates = Vec::with_capacity(job.batches.min(job.shots) as usize);
         let per_batch = job.shots / job.batches;
-        for batch in 0..job.batches {
+        // With fewer shots than batches every batch but the last is
+        // empty, so start there; batch indices (and lanes) are unchanged.
+        let first = if job.shots < job.batches {
+            job.batches - 1
+        } else {
+            0
+        };
+        let root = StreamRng::new(job.seed, key.0);
+        for batch in first..job.batches {
             let budget = if batch + 1 == job.batches {
                 job.shots - per_batch * (job.batches - 1)
             } else {
@@ -332,8 +342,9 @@ impl CutService {
                 }
                 // The whole determinism contract in one line: the lane is
                 // addressed by content (seed, plan key, batch, term) and
-                // nothing else.
-                let mut lane = StreamRng::new(job.seed, key.0).derive(&[batch, term as u64]);
+                // nothing else. `root` only saves recomputing the seed's
+                // round keys per lane.
+                let mut lane = root.derive(&[batch, term as u64]);
                 seq.record(term, samplers[term].sample_observable_sum(n, &mut lane), n);
             }
             let update = BatchUpdate {
@@ -497,6 +508,24 @@ mod tests {
         assert_eq!(out.estimate, 0.0);
         assert!(out.updates.is_empty());
         assert_eq!(out.allocation.iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn far_more_batches_than_shots_runs_only_the_last_batch() {
+        // Every batch but the last is empty; the job must neither
+        // reserve nor walk them.
+        let svc = service();
+        for batches in [1 << 40, u64::MAX] {
+            let mut j = job(11).with_batches(batches);
+            j.shots = 10;
+            let out = svc.run_job(&j);
+            assert_eq!(out.updates.len(), 1);
+            assert_eq!(out.updates[0].batch, batches - 1);
+            assert_eq!(out.updates[0].shots_used, 10);
+            assert_eq!(out.updates[0].estimate.to_bits(), out.estimate.to_bits());
+            assert_eq!(out.allocation.iter().sum::<u64>(), 10);
+            assert_eq!(out.shots, 10);
+        }
     }
 
     #[test]

@@ -224,8 +224,10 @@ impl ShardCtx {
     }
 
     /// An additional independent lane for this shard (`lane(c, t)`).
+    /// Splitting ignores the counter, so the lane does not depend on
+    /// how much of [`rng`](Self::rng) the shard has drawn.
     pub fn lane(&self, tag: u64) -> StreamRng {
-        StreamRng::new(self.seed, self.key).split(tag)
+        self.rng.split(tag)
     }
 
     /// A stream shared with every other shard that derives it from the
@@ -500,12 +502,18 @@ mod tests {
             let a: f64 = ctx.lane(0).gen();
             let b: f64 = ctx.lane(1).gen();
             let c: f64 = ctx.rng().gen();
-            (a, b, c)
+            // Drawing from the sampling stream does not move a lane off
+            // the `lane(c, t)` law.
+            let again: f64 = ctx.lane(0).gen();
+            let law: f64 = StreamRng::new(ctx.seed(), ctx.key()).split(0).gen();
+            (a, b, c, again, law)
         });
-        let (a, b, c) = out[0];
+        let (a, b, c, again, law) = out[0];
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
+        assert_eq!(a.to_bits(), again.to_bits());
+        assert_eq!(a.to_bits(), law.to_bits());
     }
 
     #[test]

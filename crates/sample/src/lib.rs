@@ -51,48 +51,85 @@ const BINV_MAX_X: u64 = 110;
 ///
 /// Exact in distribution for every `n` and `p ∈ [0, 1]` — no normal or
 /// Poisson approximation — with `O(1)` expected cost for large `n·p`
-/// (BTPE) and `O(n·p)` otherwise (BINV).
+/// (BTPE) and `O(n·p)` otherwise (BINV). Equivalent to
+/// `Binomial::new(p).sample(n, rng)`; for repeated draws at one `p`,
+/// build the [`Binomial`] law once and sample from it.
 ///
 /// # Panics
 /// Panics if `p` is not in `[0, 1]` (NaN included).
 pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
-    assert!((0.0..=1.0).contains(&p), "binomial p must be in [0,1]: {p}");
-    if n == 0 || p == 0.0 {
-        return 0;
+    Binomial::new(p).sample(n, rng)
+}
+
+/// The binomial law at one success probability `p`, with everything a
+/// draw needs that depends on `p` alone computed once: the mirror flag,
+/// `min(p, 1−p)`, BINV's odds ratio `s = p/q` and `ln q`. [`binomial`]
+/// prepares one per call; callers drawing repeatedly at one `p` keep
+/// theirs and get the same variates from the same RNG words.
+#[derive(Clone, Copy, Debug)]
+pub struct Binomial {
+    /// `p > ½`: draws sample `B(n, 1−p)` and mirror to `n − x`.
+    flipped: bool,
+    /// `min(p, 1−p)`, the small-probability half both kernels see.
+    p: f64,
+    /// `p/q` at the small half.
+    s: f64,
+    /// `ln q` at the small half.
+    ln_q: f64,
+}
+
+impl Binomial {
+    /// The law `B(·, p)`.
+    ///
+    /// # Panics
+    /// Panics if `p` is not in `[0, 1]` (NaN included).
+    pub fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "binomial p must be in [0,1]: {p}");
+        // Sample the small-probability half and mirror, so both
+        // algorithms only ever see p ≤ 1/2 (BTPE's geometry assumes it).
+        let flipped = p > 0.5;
+        let p = if flipped { 1.0 - p } else { p };
+        let q = 1.0 - p;
+        Binomial {
+            flipped,
+            p,
+            s: p / q,
+            ln_q: q.ln(),
+        }
     }
-    if p == 1.0 {
-        return n;
-    }
-    // Sample the small-probability half and mirror, so both algorithms
-    // only ever see p ≤ 1/2 (BTPE's geometry assumes it).
-    let flipped = p > 0.5;
-    let p = if flipped { 1.0 - p } else { p };
-    // BINV is valid for any n (the walk length only depends on n·p);
-    // BTPE's region geometry needs n·p·q large, which the threshold
-    // guarantees.
-    let result = if (n as f64) * p < BINV_THRESHOLD {
-        binv(n, p, rng)
-    } else {
-        btpe(n, p, rng)
-    };
-    if flipped {
-        n - result
-    } else {
-        result
+
+    /// Draws one variate `B(n, p)`.
+    pub fn sample<R: Rng + ?Sized>(&self, n: u64, rng: &mut R) -> u64 {
+        // p ∈ {0, 1} leaves no mass off one end: 0 successes, mirrored
+        // to n when p = 1.
+        let result = if n == 0 || self.p == 0.0 {
+            0
+        } else if (n as f64) * self.p < BINV_THRESHOLD {
+            // BINV is valid for any n (the walk length only depends on
+            // n·p); BTPE's region geometry needs n·p·q large, which the
+            // threshold guarantees.
+            binv(n, self.p, self.s, self.ln_q, rng)
+        } else {
+            btpe(n, self.p, rng)
+        };
+        if self.flipped {
+            n - result
+        } else {
+            result
+        }
     }
 }
 
 /// BINV: invert the CDF by walking the pmf upward from 0 using the
-/// recurrence `f(x+1) = f(x)·(a/(x+1) − s)`.
-fn binv<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+/// recurrence `f(x+1) = f(x)·(a/(x+1) − s)`, with `s = p/q` and `ln q`
+/// taken from the prepared [`Binomial`].
+fn binv<R: Rng + ?Sized>(n: u64, p: f64, s: f64, ln_q: f64, rng: &mut R) -> u64 {
     debug_assert!(p <= 0.5);
-    let q = 1.0 - p;
-    let s = p / q;
     let a = (n as f64 + 1.0) * s;
     // q^n via exp(n·ln q): well-conditioned here because n·p < 10 and
     // p ≤ ½ keep n·ln q > −14, and it works for any u64 n (powi would
     // overflow its i32 exponent).
-    let r0 = ((n as f64) * q.ln()).exp();
+    let r0 = ((n as f64) * ln_q).exp();
     loop {
         let mut r = r0;
         let mut u: f64 = rng.gen();
@@ -322,6 +359,7 @@ pub fn tv_bound_5_sigma(probs: &[f64], shots: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -552,6 +590,125 @@ mod tests {
     fn binomial_rejects_bad_p() {
         let mut rng = StdRng::seed_from_u64(46);
         binomial(5, 1.5, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "binomial p must be in [0,1]: NaN")]
+    fn prepared_law_rejects_nan() {
+        Binomial::new(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "binomial p must be in [0,1]: -0.000001")]
+    fn prepared_law_rejects_p_below_zero() {
+        Binomial::new(-1e-6);
+    }
+
+    /// The per-draw binomial this crate shipped before [`Binomial`]
+    /// existed, kept verbatim as the oracle the prepared law must
+    /// reproduce draw for draw. BTPE is shared: it never changed.
+    mod oracle {
+        use super::super::{btpe, BINV_MAX_X, BINV_THRESHOLD};
+        use rand::Rng;
+
+        pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+            assert!((0.0..=1.0).contains(&p), "binomial p must be in [0,1]: {p}");
+            if n == 0 || p == 0.0 {
+                return 0;
+            }
+            if p == 1.0 {
+                return n;
+            }
+            // Sample the small-probability half and mirror, so both algorithms
+            // only ever see p ≤ 1/2 (BTPE's geometry assumes it).
+            let flipped = p > 0.5;
+            let p = if flipped { 1.0 - p } else { p };
+            // BINV is valid for any n (the walk length only depends on n·p);
+            // BTPE's region geometry needs n·p·q large, which the threshold
+            // guarantees.
+            let result = if (n as f64) * p < BINV_THRESHOLD {
+                binv(n, p, rng)
+            } else {
+                btpe(n, p, rng)
+            };
+            if flipped {
+                n - result
+            } else {
+                result
+            }
+        }
+
+        /// BINV: invert the CDF by walking the pmf upward from 0 using the
+        /// recurrence `f(x+1) = f(x)·(a/(x+1) − s)`.
+        fn binv<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+            debug_assert!(p <= 0.5);
+            let q = 1.0 - p;
+            let s = p / q;
+            let a = (n as f64 + 1.0) * s;
+            // q^n via exp(n·ln q): well-conditioned here because n·p < 10 and
+            // p ≤ ½ keep n·ln q > −14, and it works for any u64 n (powi would
+            // overflow its i32 exponent).
+            let r0 = ((n as f64) * q.ln()).exp();
+            loop {
+                let mut r = r0;
+                let mut u: f64 = rng.gen();
+                let mut x = 0u64;
+                loop {
+                    if u < r {
+                        return x;
+                    }
+                    u -= r;
+                    x += 1;
+                    if x > BINV_MAX_X {
+                        break; // pmf exhausted by rounding — redraw
+                    }
+                    r *= a / (x as f64) - s;
+                }
+            }
+        }
+    }
+
+    /// Probabilities the prepared law is most likely to get wrong: the
+    /// ends, the mirror point and its float neighbours, and the tiny
+    /// tails on either side.
+    const EDGE_PS: [f64; 7] = [
+        0.0,
+        1.0,
+        0.5,
+        f64::from_bits(0.5f64.to_bits() - 1), // the float just below ½
+        f64::from_bits(0.5f64.to_bits() + 1), // the float just above ½
+        1e-12,
+        1.0 - 1e-12,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A prepared law draws the oracle's variates and consumes the
+        /// same number of RNG words, draw after draw, on both sides of
+        /// the BINV/BTPE switch at `n·min(p, 1−p) = 10`.
+        #[test]
+        fn prepared_law_matches_the_oracle(
+            p in prop_oneof![
+                0.0f64..1.0,
+                0.0f64..1.0,
+                (0..EDGE_PS.len()).prop_map(|i| EDGE_PS[i]),
+            ],
+            ns in proptest::collection::vec(prop_oneof![0u64..41, 0u64..1_000_001], 1..24),
+            stream in 0u64..1 << 40,
+        ) {
+            let law = Binomial::new(p);
+            let mut expected = StreamRng::new(0xB1A5, stream);
+            let mut prepared = expected.clone();
+            let mut wrapped = expected.clone();
+            for &n in &ns {
+                let x = oracle::binomial(n, p, &mut expected);
+                prop_assert_eq!(law.sample(n, &mut prepared), x, "B({}, {})", n, p);
+                prop_assert_eq!(binomial(n, p, &mut wrapped), x, "B({}, {})", n, p);
+                prop_assert_eq!(prepared.position(), expected.position());
+                prop_assert_eq!(wrapped.position(), expected.position());
+            }
+        }
     }
 
     #[test]

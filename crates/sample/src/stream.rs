@@ -29,11 +29,17 @@
 //! BigCrush as `mix64(i·γ)`) applied to the right half xored with a
 //! per-round key schedule. Four rounds is the Luby–Rackoff threshold
 //! for a strong pseudorandom permutation from good round functions; the
-//! result is statistically solid for Monte Carlo use and cheap — nine
-//! finalizer evaluations per 64-bit output (four round keys recomputed
-//! on every call, four rounds and one final fold) — but, like
-//! everything in this workspace's sampling stack, not cryptographically
-//! secure.
+//! result is statistically solid for Monte Carlo use and cheap — but,
+//! like everything in this workspace's sampling stack, not
+//! cryptographically secure.
+//!
+//! The round keys depend on the seed alone. A [`StreamRng`] computes
+//! them once, when the root stream is created, and hands them down to
+//! every stream it [`split`](StreamRng::split)s or
+//! [`derive`](StreamRng::derive)s, so one of its 64-bit outputs costs
+//! **five** finalizer evaluations (four rounds and the final fold). The
+//! free [`stream_block`] recomputes the four keys on every call and
+//! costs nine; the two agree bit for bit.
 
 use rand::RngCore;
 
@@ -51,10 +57,23 @@ const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// from the Weyl sequence.
 const COUNTER_GAMMA: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
-/// Round key `r` of the Feistel schedule under `seed`.
+/// The four round keys of the Feistel schedule under `seed`.
 #[inline]
-fn round_key(seed: u64, round: u64) -> u64 {
-    mix64(seed ^ round.wrapping_mul(COUNTER_GAMMA).wrapping_add(GOLDEN_GAMMA))
+fn round_keys(seed: u64) -> [u64; 4] {
+    [0u64, 1, 2, 3]
+        .map(|round| mix64(seed ^ round.wrapping_mul(COUNTER_GAMMA).wrapping_add(GOLDEN_GAMMA)))
+}
+
+/// The Feistel permutation of the `(stream, counter)` block under
+/// precomputed round keys, folded to 64 bits.
+#[inline]
+fn keyed_block(keys: &[u64; 4], stream: u64, counter: u64) -> u64 {
+    let (mut l, mut r) = (stream, counter);
+    for key in keys {
+        let f = mix64(r ^ key);
+        (l, r) = (r, l ^ f);
+    }
+    mix64(l.wrapping_add(r.rotate_left(32)))
 }
 
 /// The keyed PRF behind [`StreamRng`]: a 4-round Feistel permutation of
@@ -68,12 +87,7 @@ fn round_key(seed: u64, round: u64) -> u64 {
 /// exact output law.
 #[inline]
 pub fn stream_block(seed: u64, stream: u64, counter: u64) -> u64 {
-    let (mut l, mut r) = (stream, counter);
-    for round in 0..4 {
-        let f = mix64(r ^ round_key(seed, round));
-        (l, r) = (r, l ^ f);
-    }
-    mix64(l.wrapping_add(r.rotate_left(32)))
+    keyed_block(&round_keys(seed), stream, counter)
 }
 
 /// A counter-based RNG stream: output `i` is `stream_block(seed, stream,
@@ -87,7 +101,9 @@ pub fn stream_block(seed: u64, stream: u64, counter: u64) -> u64 {
 /// estimators, `qsim::haar_unitary`, …).
 #[derive(Clone, Debug)]
 pub struct StreamRng {
-    seed: u64,
+    /// The seed's four Feistel round keys, shared by every stream split
+    /// or derived from this one.
+    keys: [u64; 4],
     stream: u64,
     counter: u64,
 }
@@ -96,7 +112,7 @@ impl StreamRng {
     /// Creates stream `stream` under `seed`, positioned at counter 0.
     pub fn new(seed: u64, stream: u64) -> Self {
         StreamRng {
-            seed,
+            keys: round_keys(seed),
             stream,
             counter: 0,
         }
@@ -119,10 +135,11 @@ impl StreamRng {
     /// configuration). Distinct tags give distinct ids up to the
     /// negligible 64-bit hash-collision probability.
     pub fn split(&self, tag: u64) -> StreamRng {
-        StreamRng::new(
-            self.seed,
-            mix64(self.stream ^ tag.wrapping_mul(GOLDEN_GAMMA)),
-        )
+        StreamRng {
+            keys: self.keys,
+            stream: mix64(self.stream ^ tag.wrapping_mul(GOLDEN_GAMMA)),
+            counter: 0,
+        }
     }
 
     /// A stream addressed by a *path* of tags: `derive(&[a, b, c])` is
@@ -142,7 +159,7 @@ impl RngCore for StreamRng {
     }
 
     fn next_u64(&mut self) -> u64 {
-        let out = stream_block(self.seed, self.stream, self.counter);
+        let out = keyed_block(&self.keys, self.stream, self.counter);
         self.counter = self.counter.wrapping_add(1);
         out
     }
@@ -213,6 +230,38 @@ mod tests {
         // Path order matters and sibling paths diverge.
         assert_ne!(root.derive(&[5, 6]).stream(), root.derive(&[6, 5]).stream());
         assert_ne!(root.derive(&[5, 6]).stream(), root.derive(&[5, 7]).stream());
+    }
+
+    #[test]
+    fn keyed_children_follow_the_stream_block_law() {
+        // Children carry the root's round keys instead of recomputing
+        // them; their outputs must still be the documented law.
+        let seed = 0x5EED_1234_ABCD;
+        let mut root = StreamRng::new(seed, 77);
+        for _ in 0..5 {
+            root.next_u64();
+        }
+        let children = [
+            root.split(0),
+            root.split(u64::MAX),
+            root.split(3).split(4),
+            root.derive(&[2, 9]),
+            root.derive(&[1 << 40, 0, 7]),
+        ];
+        for child in children {
+            assert_eq!(child.position(), 0, "children start at counter 0");
+            let mut rng = child.clone();
+            for i in 0..32 {
+                assert_eq!(rng.next_u64(), stream_block(seed, child.stream(), i));
+            }
+        }
+        // A clone taken mid-stream continues from the parent's counter.
+        let mut mid = root.clone();
+        assert_eq!(mid.position(), 5);
+        for i in 5..37 {
+            assert_eq!(mid.next_u64(), stream_block(seed, 77, i));
+        }
+        assert_eq!(root.next_u64(), stream_block(seed, 77, 5));
     }
 
     #[test]

@@ -312,18 +312,10 @@ fn odometer_picks(lens: &[usize]) -> Vec<Vec<usize>> {
     picks
 }
 
-#[test]
-fn sweep_values_depend_only_on_the_pick() {
-    // The sweep's contract: a term's value is a function of its pick
-    // alone, never of the order picks arrive in or of which snapshot a
-    // term resumes from. One sweep in odometer order and a fresh sweep
-    // over the same picks shuffled must agree bit for bit.
-    let circuit = cx_ladder(6);
-    let plan = CutPlanner::new(2).with_overlap(0.8).plan(&circuit);
-    assert_eq!(plan.num_cuts(), 6, "ladder plan shape drifted");
-    let blocks = FragmentBlocks::build(&plan, &PauliString::from_label(&"Z".repeat(8)));
+/// One sweep over every pick in odometer order and a fresh sweep over
+/// the same picks shuffled must agree bit for bit.
+fn assert_sweep_depends_only_on_the_pick(blocks: &FragmentBlocks, what: &str) {
     let picks = odometer_picks(&blocks.group_lens());
-    assert_eq!(picks.len(), 729);
     let mut sweep = blocks.sweep();
     let in_order: Vec<u64> = picks
         .iter()
@@ -339,9 +331,46 @@ fn sweep_values_depend_only_on_the_pick() {
         assert_eq!(
             shuffled.term_value(&picks[i]).to_bits(),
             in_order[i],
-            "pick {:?} changed value with the evaluation order",
+            "{what}: pick {:?} changed value with the evaluation order",
             picks[i]
         );
+    }
+}
+
+#[test]
+fn sweep_values_depend_only_on_the_pick() {
+    // The sweep's contract: a term's value is a function of its pick
+    // alone, never of the order picks arrive in, of which snapshot a
+    // term resumes from, or of what the reused frontier buffers held
+    // before.
+    let circuit = cx_ladder(6);
+    let plan = CutPlanner::new(2).with_overlap(0.8).plan(&circuit);
+    assert_eq!(plan.num_cuts(), 6, "ladder plan shape drifted");
+    let blocks = FragmentBlocks::build(&plan, &PauliString::from_label(&"Z".repeat(8)));
+    assert_eq!(blocks.group_lens().iter().product::<usize>(), 729);
+    assert_sweep_depends_only_on_the_pick(&blocks, "6-cut ladder");
+    // A re-entrant chain at width 4: a 3-wire group skips a fragment
+    // while single-wire groups thread through it, so the frontier
+    // widens and narrows between absorbs and the sweep's buffers change
+    // size. The 3-wire group plans as joint MUB at low overlap and as
+    // per-wire NME at high overlap.
+    let circuit = reentrant_chain(4);
+    let observable = PauliString::from_label(&"Z".repeat(7));
+    for (overlap, joint) in [(0.52, true), (0.9, false)] {
+        let plan = CutPlanner::new(4).with_overlap(overlap).plan(&circuit);
+        assert!(
+            plan.groups
+                .iter()
+                .any(|g| g.num_wires() == 3 && (g.protocol == Protocol::JointMub) == joint),
+            "f = {overlap}: no 3-wire group with joint = {joint}"
+        );
+        let blocks = FragmentBlocks::build(&plan, &observable);
+        let widths: Vec<usize> = blocks.summaries().iter().map(|f| f.outgoing).collect();
+        assert!(
+            widths.iter().any(|&w| w > 1) && widths.contains(&0),
+            "f = {overlap}: frontier never widens and narrows ({widths:?})"
+        );
+        assert_sweep_depends_only_on_the_pick(&blocks, &format!("re-entrant chain, f = {overlap}"));
     }
 }
 

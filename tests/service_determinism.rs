@@ -8,12 +8,24 @@
 //!   estimator variance** than the static proportional split on an
 //!   asymmetric-σ workload at equal total shots;
 //! * the compiled-plan cache dedupes by content and the streamed batch
-//!   partials are consistent with the final outcome.
+//!   partials are consistent with the final outcome;
+//! * `run_job` follows the documented lane law bit for bit: a batch loop
+//!   rebuilt from public calls reproduces it.
 
-use nme_wire_cutting::qsample::KeyHasher;
+use nme_wire_cutting::experiments::service_load::{build_jobs, ServiceLoadConfig};
+use nme_wire_cutting::qpd::{Allocator, SequentialAllocator};
+use nme_wire_cutting::qsample::{KeyHasher, StreamRng};
 use nme_wire_cutting::qsim::{Circuit, PauliString};
 use nme_wire_cutting::wirecut::planner::CutPlanner;
-use nme_wire_cutting::wirecut::service::{AllocationMode, CutService, EstimationJob};
+use nme_wire_cutting::wirecut::service::{
+    AllocationMode, BatchUpdate, CutService, EstimationJob, JobOutcome,
+};
+
+const MODES: [AllocationMode; 3] = [
+    AllocationMode::StaticProportional,
+    AllocationMode::StaticUniform,
+    AllocationMode::Sequential,
+];
 
 /// A near-classical ladder: one wire cut, three NME terms.
 fn ladder() -> Circuit {
@@ -230,4 +242,115 @@ fn golden_cold_job_is_pinned_bit_for_bit() {
     assert_eq!(out.estimate.to_bits(), 0x3fc2_40d6_4752_6a24);
     assert_eq!(out.exact.to_bits(), 0x3fc2_c2d0_4f3b_e419);
     assert_eq!(h.finish(), 0x4f34_5efa_a224_bd4f);
+}
+
+/// `run_job`'s batch loop rebuilt from public calls, with the module
+/// docs' lane law spelled out: every `(batch, term)` lane is a fresh
+/// `StreamRng::new(seed, plan_key).derive(&[batch, term])`. It walks
+/// every batch, empty ones included. Returns the estimate, the streamed
+/// updates and the pooled allocation.
+fn replay_lane_law(svc: &CutService, job: &EstimationJob) -> (f64, Vec<BatchUpdate>, Vec<u64>) {
+    let (plan, key, _) = svc.compiled(&job.circuit, &job.observable);
+    let samplers = plan.samplers();
+    let mut seq = SequentialAllocator::new(plan.spec.len());
+    let mut updates = Vec::new();
+    let per_batch = job.shots / job.batches;
+    for batch in 0..job.batches {
+        let budget = if batch + 1 == job.batches {
+            job.shots - per_batch * (job.batches - 1)
+        } else {
+            per_batch
+        };
+        if budget == 0 {
+            continue;
+        }
+        let allocation = match job.mode {
+            AllocationMode::StaticProportional => {
+                Allocator::Proportional.allocate(&plan.spec, budget)
+            }
+            AllocationMode::StaticUniform => Allocator::Uniform.allocate(&plan.spec, budget),
+            AllocationMode::Sequential => seq.next_allocation(&plan.spec, budget),
+        };
+        for (term, &n) in allocation.iter().enumerate() {
+            if n > 0 {
+                let mut lane = StreamRng::new(job.seed, key.0).derive(&[batch, term as u64]);
+                seq.record(term, samplers[term].sample_observable_sum(n, &mut lane), n);
+            }
+        }
+        updates.push(BatchUpdate {
+            batch,
+            shots_used: budget,
+            estimate: seq.estimate(&plan.spec),
+        });
+    }
+    let allocation = (0..plan.spec.len()).map(|i| seq.count(i)).collect();
+    (
+        updates.last().map_or(0.0, |u| u.estimate),
+        updates,
+        allocation,
+    )
+}
+
+fn assert_follows_the_lane_law(svc: &CutService, job: &EstimationJob, out: &JobOutcome) {
+    let (estimate, updates, allocation) = replay_lane_law(svc, job);
+    let what = format!(
+        "{:?}, {} shots in {} batches",
+        job.mode, job.shots, job.batches
+    );
+    assert_eq!(out.estimate.to_bits(), estimate.to_bits(), "{what}");
+    assert_eq!(out.updates.len(), updates.len(), "{what}");
+    for (a, b) in out.updates.iter().zip(&updates) {
+        assert_eq!(
+            (a.batch, a.shots_used, a.estimate.to_bits()),
+            (b.batch, b.shots_used, b.estimate.to_bits()),
+            "{what}"
+        );
+    }
+    assert_eq!(out.allocation, allocation, "{what}");
+}
+
+/// The 6-cut `perf_planner/cut_scaling` ladder: 8 qubits at width 2,
+/// six single-wire NME cuts, 3⁶ = 729 product terms.
+fn six_cut_ladder() -> Circuit {
+    let mut c = Circuit::new(8, 0);
+    c.ry(0.4, 0);
+    for q in 0..7 {
+        c.cx(q, q + 1);
+    }
+    c
+}
+
+#[test]
+fn run_job_follows_the_lane_law_bit_for_bit() {
+    // A cold 6-cut ladder, its budget above and below the term count,
+    // and with far fewer shots than batches.
+    let svc = CutService::new(CutPlanner::new(2).with_overlap(0.8));
+    let observable = PauliString::from_label(&"Z".repeat(8));
+    for mode in MODES {
+        for (shots, batches) in [(5000, 3), (500, 2), (10, 1000)] {
+            svc.clear_cache();
+            let job = EstimationJob::new(six_cut_ladder(), observable.clone(), shots, 0x1A9E)
+                .with_batches(batches)
+                .with_mode(mode);
+            let out = svc.run_job(&job);
+            assert!(!out.cache_hit);
+            assert_eq!(out.allocation.len(), 729);
+            assert_eq!(out.allocation.iter().sum::<u64>(), shots);
+            assert_follows_the_lane_law(&svc, &job, &out);
+        }
+    }
+    // Warm E18 plans: the service-load fleet's first circuit, served
+    // from the cache after one cold run.
+    let config = ServiceLoadConfig::default();
+    let svc = CutService::new(CutPlanner::new(config.width_budget).with_overlap(config.overlap));
+    let e18 = build_jobs(&config).swap_remove(0);
+    svc.run_job(&e18);
+    for mode in MODES {
+        for batches in [config.batches, 3 * config.shots] {
+            let job = e18.clone().with_batches(batches).with_mode(mode);
+            let out = svc.run_job(&job);
+            assert!(out.cache_hit);
+            assert_follows_the_lane_law(&svc, &job, &out);
+        }
+    }
 }
