@@ -1,6 +1,7 @@
 //! Performance benches for the cutting-as-a-service layer
-//! (`wirecut::service::CutService`): compiled-plan cache payoff and job
-//! fleet throughput at 1/2/4/8 worker threads.
+//! (`wirecut::service::CutService`): compiled-plan cache payoff, the
+//! warm-job layers (`PlanKey` hashing, the cache lookup, a warm fleet)
+//! and job fleet throughput at 1/2/4/8 worker threads.
 //!
 //! The cache group is the ISSUE's headline number: submitting a job whose
 //! plan is already compiled must be **≥ 10× faster** than submitting it
@@ -54,6 +55,31 @@ fn plan_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// The layers a warm job pays before sampling, on the first E18 circuit:
+/// `PlanKey` hashing alone and a cache hit through `compiled` (which
+/// finds the plan by its exact key words, not by the key); then one whole
+/// warm E18 fleet (192 jobs) through `run_jobs` at one thread.
+fn lookup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("perf_service/lookup");
+    let config = ServiceLoadConfig::default();
+    let planner = CutPlanner::new(config.width_budget).with_overlap(config.overlap);
+    let jobs = build_jobs(&config);
+    let job = &jobs[0];
+    let service = CutService::new(planner);
+    service.run_jobs(&jobs, 1); // pre-warm the plan cache
+    group.bench_function("plan_key", |b| {
+        b.iter(|| planner.plan_key(&job.circuit, &job.observable));
+    });
+    group.bench_function("compiled_hit", |b| {
+        b.iter(|| service.compiled(&job.circuit, &job.observable));
+    });
+    group.throughput(Throughput::Elements(jobs.len() as u64));
+    group.bench_function("warm_fleet_1_thread", |b| {
+        b.iter(|| service.run_jobs(&jobs, 1));
+    });
+    group.finish();
+}
+
 /// Jobs/second through one shared service: the E18 fleet (many seeds ×
 /// two allocation modes over planner-cut random circuits) at each worker
 /// count. Plans compile once on first contact; every later job is a
@@ -80,5 +106,5 @@ fn fleet_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, plan_cache, fleet_throughput);
+criterion_group!(benches, plan_cache, lookup, fleet_throughput);
 criterion_main!(benches);

@@ -341,35 +341,77 @@ impl CutPlanner {
 /// matrix entries, qubit operands, classical conditions) and the
 /// observable's Pauli string.
 ///
-/// Two requests collide on a `PlanKey` exactly when they would compile
-/// the *same* plan (up to the negligible 64-bit hash-collision
-/// probability), which is what makes the key safe to use as the cache
-/// address in [`crate::service::CutService`] and as the job-level RNG
-/// stream id: the hash depends only on plan *content*, never on
-/// submission order, thread, or cache state.
+/// The key is the job-level RNG stream id: it depends only on plan
+/// *content*, never on submission order, thread, or cache state. Two
+/// different requests share a stream id only on a 64-bit hash collision,
+/// which is negligible and leaves each job's estimate unbiased. Cache
+/// identity does not rest on the hash:
+/// [`crate::service::CutService`] compares the exact key words the
+/// hash is taken over, so a collision can never serve the wrong plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlanKey(pub u64);
 
-/// Hashes an `f64` by IEEE-754 bits, normalising `-0.0` to `+0.0` (the
+impl PlanKey {
+    /// The key of a word sequence built by [`CutPlanner::plan_words`]:
+    /// FNV-1a over the words, equal to [`CutPlanner::plan_key`] on the
+    /// same request.
+    pub(crate) fn of_words(words: &[u64]) -> PlanKey {
+        let mut h = qsample::KeyHasher::new();
+        for &word in words {
+            h.absorb(word);
+        }
+        PlanKey(h.finish())
+    }
+}
+
+/// Where a plan's identity words go: straight into the FNV hasher
+/// ([`CutPlanner::plan_key`]) or into a buffer
+/// ([`CutPlanner::plan_words`]). One `absorb_*` walk feeds both, so the
+/// two encodings cannot drift apart.
+trait WordSink {
+    fn absorb(&mut self, word: u64);
+}
+
+impl WordSink for qsample::KeyHasher {
+    #[inline]
+    fn absorb(&mut self, word: u64) {
+        qsample::KeyHasher::absorb(self, word);
+    }
+}
+
+impl WordSink for Vec<u64> {
+    #[inline]
+    fn absorb(&mut self, word: u64) {
+        self.push(word);
+    }
+}
+
+/// Words one instruction contributes at most, unless it carries a
+/// matrix on three or more qubits: op code, gate code, a 4×4 complex
+/// matrix (32 words), operand count, two operands and a condition of up
+/// to three words.
+const MAX_INSTRUCTION_WORDS: usize = 40;
+
+/// Absorbs an `f64` by IEEE-754 bits, normalising `-0.0` to `+0.0` (the
 /// same convention as `qsample::grid`'s `GridKey` for `f64`).
-fn absorb_f64(h: &mut qsample::KeyHasher, x: f64) {
+fn absorb_f64<S: WordSink>(h: &mut S, x: f64) {
     debug_assert!(!x.is_nan(), "NaN cannot identify a plan");
     let v = if x == 0.0 { 0.0f64 } else { x };
     h.absorb(v.to_bits());
 }
 
-/// Hashes a unitary matrix element-wise (row-major, re then im).
-fn absorb_matrix(h: &mut qsample::KeyHasher, m: &qlinalg::Matrix) {
+/// Absorbs a unitary matrix element-wise (row-major, re then im).
+fn absorb_matrix<S: WordSink>(h: &mut S, m: &qlinalg::Matrix) {
     for z in m.as_slice() {
         absorb_f64(h, z.re);
         absorb_f64(h, z.im);
     }
 }
 
-/// Hashes a gate: a per-variant discriminant code followed by the
+/// Absorbs a gate: a per-variant discriminant code followed by the
 /// variant's parameters. Codes are part of the key's stability contract —
 /// new variants must take fresh codes, never renumber existing ones.
-fn absorb_gate(h: &mut qsample::KeyHasher, gate: &qsim::Gate) {
+fn absorb_gate<S: WordSink>(h: &mut S, gate: &qsim::Gate) {
     use qsim::Gate::*;
     match gate {
         I => h.absorb(0),
@@ -427,8 +469,8 @@ fn absorb_gate(h: &mut qsample::KeyHasher, gate: &qsim::Gate) {
     }
 }
 
-/// Hashes a circuit: dimensions, then every instruction in program order.
-fn absorb_circuit(h: &mut qsample::KeyHasher, circuit: &Circuit) {
+/// Absorbs a circuit: dimensions, then every instruction in program order.
+fn absorb_circuit<S: WordSink>(h: &mut S, circuit: &Circuit) {
     h.absorb(circuit.num_qubits() as u64);
     h.absorb(circuit.num_clbits() as u64);
     h.absorb(circuit.len() as u64);
@@ -468,12 +510,33 @@ impl CutPlanner {
     /// The [`PlanKey`] of the plan this planner would compile for
     /// `(circuit, observable)` — a pure content hash, computed without
     /// planning or compiling anything. [`CutPlanner::plan`] is
-    /// deterministic, so equal keys imply equal compiled plans.
+    /// deterministic, so equal keys imply equal compiled plans up to the
+    /// 64-bit collision caveat of [`PlanKey`], which touches RNG stream
+    /// ids only.
     pub fn plan_key(&self, circuit: &Circuit, observable: &PauliString) -> PlanKey {
         let mut h = qsample::KeyHasher::new();
+        self.absorb_request(&mut h, circuit, observable);
+        PlanKey(h.finish())
+    }
+
+    /// The exact key material [`plan_key`](Self::plan_key) hashes, in
+    /// the same order: equal words mean equal compiled plans, with no
+    /// collision caveat.
+    pub(crate) fn plan_words(&self, circuit: &Circuit, observable: &PauliString) -> Vec<u64> {
+        // Six header words: width budget, overlap, qubits, clbits,
+        // instruction count and observable width.
+        let capacity = 6 + observable.num_qubits() + MAX_INSTRUCTION_WORDS * circuit.len();
+        let mut words = Vec::with_capacity(capacity);
+        self.absorb_request(&mut words, circuit, observable);
+        words
+    }
+
+    /// Feeds the request's identity words into `h`: planner settings,
+    /// circuit, observable.
+    fn absorb_request<S: WordSink>(&self, h: &mut S, circuit: &Circuit, observable: &PauliString) {
         h.absorb(self.width_budget as u64);
-        absorb_f64(&mut h, self.overlap);
-        absorb_circuit(&mut h, circuit);
+        absorb_f64(h, self.overlap);
+        absorb_circuit(h, circuit);
         h.absorb(observable.num_qubits() as u64);
         for op in observable.ops() {
             h.absorb(match op {
@@ -483,7 +546,6 @@ impl CutPlanner {
                 qsim::Pauli::Z => 3,
             });
         }
-        PlanKey(h.finish())
     }
 }
 
@@ -1109,6 +1171,7 @@ pub fn uncut_plan_expectation(circuit: &Circuit, observable: &PauliString) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1365,6 +1428,162 @@ mod tests {
         let mut c = Circuit::new(2, 1);
         c.x_if(0, 0);
         assert_ne!(planner.plan_key(&a, &obs), planner.plan_key(&c, &obs));
+    }
+
+    /// A circuit touching every `Op` kind, every `Gate` variant, both
+    /// condition values and `-0.0` parameters.
+    fn every_op() -> Circuit {
+        use qsim::Gate;
+        let mut c = Circuit::new(3, 2);
+        for g in [
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::SX,
+            Gate::Rx(0.1),
+            Gate::Ry(-0.0),
+            Gate::Rz(0.3),
+            Gate::Phase(-0.4),
+            Gate::U(0.5, 0.0, -0.6),
+            Gate::Unitary1(Gate::H.matrix()),
+        ] {
+            c.gate(g, &[1]);
+        }
+        for g in [
+            Gate::CX,
+            Gate::CZ,
+            Gate::CY,
+            Gate::Swap,
+            Gate::CPhase(0.7),
+            Gate::Unitary2(Gate::CX.matrix()),
+        ] {
+            c.gate(g, &[2, 0]);
+        }
+        c.gate(
+            Gate::Unitary(Gate::CX.matrix().kron(&Gate::H.matrix())),
+            &[0, 1, 2],
+        );
+        c.measure(0, 1).reset(2).barrier();
+        c.gate_if(Gate::X, &[1], 1, true)
+            .gate_if(Gate::Rz(0.8), &[0], 0, false);
+        c
+    }
+
+    #[test]
+    fn plan_key_values_are_pinned() {
+        // The key is every job's RNG stream id: re-encoding it would move
+        // every pinned estimate, so its value is fixed across refactors.
+        let planner = CutPlanner::new(2).with_overlap(0.8);
+        let obs = PauliString::from_label("ZIZ");
+        let key = planner.plan_key(&every_op(), &obs);
+        assert_eq!(key, PlanKey(0x1f19_b3c6_ed08_c187));
+        assert_eq!(
+            PlanKey::of_words(&planner.plan_words(&every_op(), &obs)),
+            key
+        );
+    }
+
+    /// One sampled instruction: `(kind, qubit, params, condition)`.
+    /// Kinds 0–22 are the `Gate` variants in declaration order, 23–25
+    /// measure, reset and barrier; condition 0 is none, 1 and 2 require
+    /// the bit to read 0 and 1.
+    type SampledOp = (usize, usize, (f64, f64, f64), usize);
+
+    fn sampled_circuit(num_qubits: usize, num_clbits: usize, ops: &[SampledOp]) -> Circuit {
+        use qsim::{Condition, Gate, Instruction};
+        let mut c = Circuit::new(num_qubits, num_clbits);
+        for &(kind, q, (a, b, t), cond) in ops {
+            let op = match kind {
+                23 => Op::Measure {
+                    qubit: q % num_qubits,
+                    clbit: q % num_clbits,
+                },
+                24 => Op::Reset(q % num_qubits),
+                25 => Op::Barrier,
+                _ => {
+                    let gate = match kind {
+                        0 => Gate::I,
+                        1 => Gate::X,
+                        2 => Gate::Y,
+                        3 => Gate::Z,
+                        4 => Gate::H,
+                        5 => Gate::S,
+                        6 => Gate::Sdg,
+                        7 => Gate::T,
+                        8 => Gate::Tdg,
+                        9 => Gate::SX,
+                        10 => Gate::Rx(a),
+                        11 => Gate::Ry(a),
+                        12 => Gate::Rz(a),
+                        13 => Gate::Phase(a),
+                        14 => Gate::U(a, b, t),
+                        15 => Gate::Unitary1(Gate::U(a, b, t).matrix()),
+                        16 => Gate::CX,
+                        17 => Gate::CZ,
+                        18 => Gate::CY,
+                        19 => Gate::Swap,
+                        20 => Gate::CPhase(a),
+                        21 => Gate::Unitary2(Gate::Rx(a).matrix().kron(&Gate::U(t, b, a).matrix())),
+                        _ => Gate::Unitary(Gate::CPhase(b).matrix().kron(&Gate::Ry(t).matrix())),
+                    };
+                    let qubits = (0..gate.arity()).map(|i| (q + i) % num_qubits).collect();
+                    Op::Gate(gate, qubits)
+                }
+            };
+            let condition = (cond > 0).then(|| Condition {
+                bit: q % num_clbits,
+                value: cond == 2,
+            });
+            c.push(Instruction { op, condition });
+        }
+        c
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn plan_words_hash_to_plan_key(
+            num_qubits in 3usize..6,
+            num_clbits in 1usize..3,
+            ops in proptest::collection::vec(
+                (
+                    0usize..26,
+                    0usize..6,
+                    (
+                        prop_oneof![Just(0.0), Just(-0.0), -3.2f64..3.2],
+                        -3.2f64..3.2,
+                        prop_oneof![Just(-0.0), -3.2f64..3.2],
+                    ),
+                    0usize..3,
+                ),
+                0..24,
+            ),
+            paulis in proptest::collection::vec(0usize..4, 1..7),
+            width in 1usize..5,
+            overlap in prop_oneof![Just(0.5), Just(1.0), 0.5f64..1.0],
+        ) {
+            use qsim::Pauli;
+            let circuit = sampled_circuit(num_qubits, num_clbits, &ops);
+            let observable = PauliString::new(
+                paulis.iter().map(|&p| [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][p]).collect(),
+            );
+            let planner = CutPlanner::new(width).with_overlap(overlap);
+            let words = planner.plan_words(&circuit, &observable);
+            prop_assert_eq!(PlanKey::of_words(&words), planner.plan_key(&circuit, &observable));
+            // The buffer is sized up front: it only regrows for matrices
+            // on three or more qubits (kind 22).
+            if ops.iter().all(|op| op.0 != 22) {
+                let sized = 6 + observable.num_qubits() + MAX_INSTRUCTION_WORDS * circuit.len();
+                prop_assert_eq!(words.capacity(), sized);
+            }
+        }
     }
 
     #[test]

@@ -7,14 +7,19 @@
 //! term stitching, per-term statevector simulation) is paid **once per
 //! distinct plan** and every repeat request only pays for sampling.
 //!
-//! * **Compiled-plan cache** — requests are content-hashed into a
-//!   [`PlanKey`] ([`CutPlanner::plan_key`]); compiled plans live behind a
-//!   sharded read-through cache (`Arc<CompiledPlan>` under per-shard
-//!   mutexes, shard = key mod [`CACHE_SHARDS`]), extending the MUB
-//!   memoization discipline to whole plans. Compilation happens outside
-//!   the shard lock; when two clients race on the same cold key, both
-//!   compile (the plans are identical — compilation is deterministic)
-//!   and the first insert wins, so the cache never blocks sampling.
+//! * **Compiled-plan cache** — compiled plans live behind a sharded
+//!   read-through cache (`Arc<CompiledPlan>` under per-shard mutexes),
+//!   extending the MUB memoization discipline to whole plans. A lookup
+//!   builds the request's exact key material — the words
+//!   [`CutPlanner::plan_key`] hashes — and takes one keyed SipHash digest
+//!   of them with the service's own `RandomState`; the shard is the
+//!   digest mod [`CACHE_SHARDS`], and a hit is the entry whose words
+//!   compare equal, so a hash collision never serves the wrong plan. The
+//!   FNV [`PlanKey`] is computed once per distinct plan, on the miss,
+//!   and stored with it. Compilation happens outside the shard lock;
+//!   when two clients race on the same cold request, both compile (the
+//!   plans are identical — compilation is deterministic) and the first
+//!   insert wins, so the cache never blocks sampling.
 //! * **Batched execution with streaming partials** — a job's budget is
 //!   spent in batches; after each batch the pooled estimate so far is
 //!   streamed to the caller ([`BatchUpdate`], via the callback of
@@ -27,8 +32,8 @@
 //!   [`qpd::neyman_allocation`] as counts grow; static proportional and
 //!   uniform splits remain available for ablation.
 //! * **Work-stealing fan-out** — [`CutService::run_jobs`] schedules many
-//!   jobs on the [`qsample::grid::ShardedGrid`] pool, the same engine
-//!   behind every experiment sweep.
+//!   jobs by fleet index on the [`qsample::grid::ShardedGrid`] pool, the
+//!   same engine behind every experiment sweep.
 //!
 //! ## Determinism contract
 //!
@@ -43,8 +48,9 @@
 //! ```
 //!
 //! Nothing about scheduling (thread ids, completion order, cache
-//! hit/miss history) enters the stream address. Cache **statistics**
-//! ([`CutService::cache_stats`]) are the one deliberately racy
+//! hit/miss history) enters the stream address, and neither does the
+//! cache's keyed digest, which differs per service instance. Cache
+//! **statistics** ([`CutService::cache_stats`]) are the one deliberately racy
 //! observable — two concurrent cold requests for one key may both count
 //! a miss — so they are reported out-of-band and never mixed into
 //! deterministic outputs. `tests/service_determinism.rs` pins the whole
@@ -53,16 +59,18 @@
 use crate::planner::{CompiledPlan, CutPlanner, PlanBackend, PlanKey};
 use parking_lot::Mutex;
 use qpd::{Allocator, SequentialAllocator};
-use qsample::{GridKey, KeyHasher, ShardedGrid, StreamRng};
+use qsample::{ShardedGrid, StreamRng};
 use qsim::{Circuit, PauliString};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of independent cache shards: plan keys are distributed by
-/// `key mod CACHE_SHARDS`, so concurrent clients contend on a shard only
-/// when their keys collide mod this. 16 comfortably covers the engine's
-/// worker-thread cap.
+/// Number of independent cache shards: requests are distributed by
+/// `digest mod CACHE_SHARDS`, so concurrent clients contend on a shard
+/// only when their digests collide mod this. 16 comfortably covers the
+/// engine's worker-thread cap.
 pub const CACHE_SHARDS: usize = 16;
 
 /// How a job's shot budget is split across QPD terms within each batch.
@@ -75,16 +83,6 @@ pub enum AllocationMode {
     /// First batch proportional, later batches Neyman-optimal for the
     /// per-term σ̂ observed so far ([`SequentialAllocator`]).
     Sequential,
-}
-
-impl AllocationMode {
-    fn code(self) -> u64 {
-        match self {
-            AllocationMode::StaticProportional => 0,
-            AllocationMode::StaticUniform => 1,
-            AllocationMode::Sequential => 2,
-        }
-    }
 }
 
 /// One estimation request: estimate `⟨observable⟩` on `circuit` from
@@ -193,25 +191,65 @@ pub struct JobOutcome {
     pub frontier_ops_uncached: usize,
 }
 
-/// A job tagged with its plan key for grid scheduling.
-struct KeyedJob<'a> {
-    job: &'a EstimationJob,
+/// One cached plan: the exact key words it was compiled for, its FNV
+/// [`PlanKey`] (the jobs' RNG stream id) and the plan itself.
+struct Entry {
+    words: Box<[u64]>,
     key: PlanKey,
-    index: usize,
+    plan: Arc<CompiledPlan>,
 }
 
-impl GridKey for KeyedJob<'_> {
-    fn absorb(&self, h: &mut KeyHasher) {
-        // Identity for *scheduling* only — job randomness never flows
-        // through the grid's ShardCtx streams (see the module docs), so
-        // absorbing the fleet index is safe and keeps duplicate
-        // submissions distinct.
-        h.absorb(self.key.0);
-        h.absorb(self.job.seed);
-        h.absorb(self.job.shots);
-        h.absorb(self.job.batches);
-        h.absorb(self.job.mode.code());
-        h.absorb(self.index as u64);
+impl Entry {
+    /// The entry for a freshly compiled plan: the only place the
+    /// service hashes a [`PlanKey`], once per distinct plan.
+    fn new(words: Vec<u64>, plan: CompiledPlan) -> Self {
+        Entry {
+            key: PlanKey::of_words(&words),
+            words: words.into_boxed_slice(),
+            plan: Arc::new(plan),
+        }
+    }
+}
+
+/// A cache shard: keyed digest → the entries whose words share it
+/// (almost always one).
+type Shard = HashMap<u64, Vec<Entry>, BuildHasherDefault<DigestHasher>>;
+
+/// Shard-map hasher for keys that already are keyed SipHash digests: it
+/// passes the digest through, so a lookup SipHashes the words once.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps are keyed by u64 digests");
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The entry under `digest` whose key words equal `words`.
+fn find<'a>(shard: &'a Shard, digest: u64, words: &[u64]) -> Option<&'a Entry> {
+    shard.get(&digest)?.iter().find(|e| *e.words == *words)
+}
+
+/// Caches `entry` under `digest` unless an entry with equal words is
+/// already there (a racing client compiled it first); returns the
+/// cached one.
+fn insert(shard: &mut Shard, digest: u64, entry: Entry) -> &Entry {
+    let bucket = shard.entry(digest).or_default();
+    match bucket.iter().position(|e| e.words == entry.words) {
+        Some(i) => &bucket[i],
+        None => {
+            bucket.push(entry);
+            &bucket[bucket.len() - 1]
+        }
     }
 }
 
@@ -220,7 +258,10 @@ impl GridKey for KeyedJob<'_> {
 /// long-lived instance serves arbitrarily many clients.
 pub struct CutService {
     planner: CutPlanner,
-    shards: Vec<Mutex<HashMap<u64, Arc<CompiledPlan>>>>,
+    /// Keys the shard digests; per service, so clients cannot aim
+    /// requests at one shard or bucket.
+    digest: RandomState,
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -230,8 +271,9 @@ impl CutService {
     pub fn new(planner: CutPlanner) -> Self {
         CutService {
             planner,
+            digest: RandomState::new(),
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -245,26 +287,28 @@ impl CutService {
 
     /// Read-through lookup: the compiled plan for `(circuit,
     /// observable)`, its [`PlanKey`], and whether it was served from the
-    /// cache. Compilation happens outside the shard lock; on a concurrent
-    /// cold race the first insert wins and later compilers adopt it.
+    /// cache. Plans are found by the request's exact key words; the
+    /// [`PlanKey`] is computed on the miss and cached with the plan.
+    /// Compilation happens outside the shard lock; on a concurrent cold
+    /// race the first insert wins and later compilers adopt it.
     pub fn compiled(
         &self,
         circuit: &Circuit,
         observable: &PauliString,
     ) -> (Arc<CompiledPlan>, PlanKey, bool) {
-        let key = self.planner.plan_key(circuit, observable);
-        let shard = &self.shards[(key.0 as usize) % self.shards.len()];
-        if let Some(plan) = shard.lock().get(&key.0).cloned() {
+        let words = self.planner.plan_words(circuit, observable);
+        let digest = self.digest.hash_one(&words[..]);
+        let shard = &self.shards[(digest % CACHE_SHARDS as u64) as usize];
+        if let Some(entry) = find(&shard.lock(), digest, &words) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (plan, key, true);
+            return (entry.plan.clone(), entry.key, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(CompiledPlan::compile(
-            &self.planner.plan(circuit),
-            observable,
-        ));
-        let plan = shard.lock().entry(key.0).or_insert(compiled).clone();
-        (plan, key, false)
+        let plan = CompiledPlan::compile(&self.planner.plan(circuit), observable);
+        let entry = Entry::new(words, plan);
+        let mut guard = shard.lock();
+        let cached = insert(&mut guard, digest, entry);
+        (cached.plan.clone(), cached.key, false)
     }
 
     /// `(hits, misses)` so far. Racy by design (see the module docs) —
@@ -278,7 +322,10 @@ impl CutService {
 
     /// Number of distinct plans currently cached.
     pub fn cache_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
+            .sum()
     }
 
     /// Drops every cached plan (the determinism contract makes this
@@ -378,18 +425,11 @@ impl CutService {
     /// Each job's result is byte-identical to running it alone through
     /// [`run_job`](Self::run_job).
     pub fn run_jobs(&self, jobs: &[EstimationJob], threads: usize) -> Vec<JobOutcome> {
-        let keyed: Vec<KeyedJob> = jobs
-            .iter()
-            .enumerate()
-            .map(|(index, job)| KeyedJob {
-                job,
-                key: self.planner.plan_key(&job.circuit, &job.observable),
-                index,
-            })
-            .collect();
-        ShardedGrid::new(keyed, 0)
+        // Scheduled by fleet index: job randomness never flows through
+        // the grid's ShardCtx streams (see the module docs).
+        ShardedGrid::new((0..jobs.len()).collect(), 0)
             .with_threads(threads)
-            .run(|keyed, _ctx| self.run_job(keyed.job))
+            .run(|&index, _ctx| self.run_job(&jobs[index]))
     }
 }
 
@@ -460,6 +500,75 @@ mod tests {
         assert_eq!(svc.cache_len(), 2);
         svc.clear_cache();
         assert_eq!(svc.cache_len(), 0);
+    }
+
+    #[test]
+    fn colliding_digests_keep_their_own_plans_and_keys() {
+        // Two requests forced under one digest, as a digest (or FNV)
+        // collision would put them: each must come back with its own plan
+        // and key, and a racing re-insert must adopt the first entry.
+        let planner = CutPlanner::new(2).with_overlap(0.9);
+        let obs = PauliString::from_label("ZZZ");
+        let mut other = ladder(3);
+        other.ry(0.7, 2);
+        let circuits = [ladder(3), other];
+        let words: Vec<Vec<u64>> = circuits
+            .iter()
+            .map(|c| planner.plan_words(c, &obs))
+            .collect();
+        let entry = |i: usize| {
+            let plan = CompiledPlan::compile(&planner.plan(&circuits[i]), &obs);
+            Entry::new(words[i].clone(), plan)
+        };
+        let digest = 0x5EED;
+        let mut shard = Shard::default();
+        let mut plans = Vec::new();
+        for (i, words) in words.iter().enumerate() {
+            assert!(find(&shard, digest, words).is_none());
+            plans.push(insert(&mut shard, digest, entry(i)).plan.clone());
+        }
+        assert_eq!(shard.len(), 1, "both entries share one digest bucket");
+        for ((circuit, words), plan) in circuits.iter().zip(&words).zip(&plans) {
+            let hit = find(&shard, digest, words).expect("cached");
+            assert!(Arc::ptr_eq(&hit.plan, plan));
+            assert_eq!(hit.key, planner.plan_key(circuit, &obs));
+        }
+        assert_ne!(
+            planner.plan_key(&circuits[0], &obs),
+            planner.plan_key(&circuits[1], &obs)
+        );
+        // A late compiler of the first request adopts the cached plan.
+        assert!(Arc::ptr_eq(
+            &insert(&mut shard, digest, entry(0)).plan,
+            &plans[0]
+        ));
+        assert_eq!(shard[&digest].len(), 2);
+    }
+
+    #[test]
+    fn a_fleet_costs_one_lookup_per_job() {
+        // 1 thread, so no cold race: every job is exactly one hit or miss.
+        let svc = service();
+        let mut jobs: Vec<EstimationJob> = (0..5).map(job).collect();
+        let mut other = job(9);
+        other.observable = PauliString::from_label("ZIZ");
+        jobs.extend([
+            other.clone(),
+            other.with_mode(AllocationMode::StaticUniform),
+        ]);
+        let outcomes = svc.run_jobs(&jobs, 1);
+        assert_eq!(outcomes.len(), 7);
+        assert_eq!(svc.cache_stats(), (7 - 2, 2));
+        assert_eq!(svc.cache_len(), 2);
+    }
+
+    #[test]
+    fn an_empty_fleet_returns_no_outcomes() {
+        let svc = service();
+        for threads in [0, 1, 7] {
+            assert!(svc.run_jobs(&[], threads).is_empty(), "threads {threads}");
+        }
+        assert_eq!(svc.cache_stats(), (0, 0));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! * sequential (variance-adaptive) allocation realises **no more
 //!   estimator variance** than the static proportional split on an
 //!   asymmetric-σ workload at equal total shots;
-//! * the compiled-plan cache dedupes by content and the streamed batch
-//!   partials are consistent with the final outcome;
+//! * the compiled-plan cache dedupes by content, tells apart requests
+//!   that differ in a single bit, and the streamed batch partials are
+//!   consistent with the final outcome;
+//! * `PlanKey` values, every job's RNG stream id, are pinned;
 //! * `run_job` follows the documented lane law bit for bit: a batch loop
 //!   rebuilt from public calls reproduces it.
 
@@ -242,6 +244,66 @@ fn golden_cold_job_is_pinned_bit_for_bit() {
     assert_eq!(out.estimate.to_bits(), 0x3fc2_40d6_4752_6a24);
     assert_eq!(out.exact.to_bits(), 0x3fc2_c2d0_4f3b_e419);
     assert_eq!(h.finish(), 0x4f34_5efa_a224_bd4f);
+}
+
+#[test]
+fn plan_keys_are_pinned() {
+    // The plan key is every job's RNG stream id, so these values pin the
+    // golden cold job's lanes and the E18 fleet's.
+    let planner = CutPlanner::new(2).with_overlap(0.9);
+    let observable = PauliString::from_label(&"Z".repeat(10));
+    assert_eq!(
+        planner.plan_key(&golden_ladder(), &observable).0,
+        0xbc39_deaf_62e7_587f
+    );
+    let config = ServiceLoadConfig::default();
+    let planner = CutPlanner::new(config.width_budget).with_overlap(config.overlap);
+    let e18 = build_jobs(&config).swap_remove(0);
+    assert_eq!(
+        planner.plan_key(&e18.circuit, &e18.observable).0,
+        0x4d73_5e0f_d0ce_c2d6
+    );
+}
+
+/// The 3-qubit ladder with its second `ry` angle set to `theta`; its
+/// `⟨Z⟩` on wire 1 moves with `theta`.
+fn ladder_at(theta: f64) -> Circuit {
+    let mut c = Circuit::new(3, 0);
+    c.x(0);
+    c.ry(0.25, 0);
+    c.cx(0, 1);
+    c.ry(theta, 1);
+    c.cx(1, 2);
+    c
+}
+
+#[test]
+fn the_cache_tells_apart_circuits_one_bit_apart() {
+    let obs = PauliString::from_label("IZI");
+    let theta = 2.0f64;
+    let next = f64::from_bits(theta.to_bits() + 1);
+    let svc = service();
+    let a = svc.run_job(&EstimationJob::new(ladder_at(theta), obs.clone(), 1000, 3));
+    let b = svc.run_job(&EstimationJob::new(ladder_at(next), obs.clone(), 1000, 3));
+    assert!(!a.cache_hit && !b.cache_hit, "one bit apart must miss");
+    assert_eq!(svc.cache_len(), 2);
+    assert_ne!(a.plan_key, b.plan_key);
+    // Each job got its own plan: the one a fresh service compiles for it.
+    for (theta, out) in [(theta, &a), (next, &b)] {
+        let fresh = service().run_job(&EstimationJob::new(ladder_at(theta), obs.clone(), 1000, 3));
+        assert_eq!(out.exact.to_bits(), fresh.exact.to_bits());
+        assert_eq!(out.estimate.to_bits(), fresh.estimate.to_bits());
+        assert_eq!(out.plan_key, fresh.plan_key);
+    }
+    assert_ne!(a.exact.to_bits(), b.exact.to_bits());
+    // `-0.0` and `+0.0` name the same plan.
+    let svc = service();
+    let plus = svc.run_job(&EstimationJob::new(ladder_at(0.0), obs.clone(), 1000, 3));
+    let minus = svc.run_job(&EstimationJob::new(ladder_at(-0.0), obs, 1000, 3));
+    assert!(!plus.cache_hit && minus.cache_hit);
+    assert_eq!(svc.cache_len(), 1);
+    assert_eq!(plus.plan_key, minus.plan_key);
+    assert_eq!(plus.estimate.to_bits(), minus.estimate.to_bits());
 }
 
 /// `run_job`'s batch loop rebuilt from public calls, with the module
