@@ -1,5 +1,5 @@
 //! Performance benches for the configuration-grid sharding engine
-//! (`experiments::grid::ShardedGrid`): wall-clock scaling of whole
+//! (`qsample::grid::ShardedGrid`): wall-clock scaling of whole
 //! experiment grids at 1/2/4/8 worker threads.
 //!
 //! The headline group runs the **joint_scaling crossover workload** (the
@@ -13,8 +13,8 @@
 //! the core count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use experiments::grid::ShardedGrid;
 use experiments::{joint_scaling, werner_sweep};
+use qsample::grid::ShardedGrid;
 use rand::RngCore;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];

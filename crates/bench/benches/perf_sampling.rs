@@ -1,6 +1,6 @@
 //! Performance microbenches for the QPD sampling stack: compiled
 //! branch-tree shot sampling, the estimators, the checkpointed sweep and
-//! the parallel experiment runner.
+//! cut compilation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qpd::{estimate_allocated, estimate_stochastic, proportional_sweep, Allocator, TermSampler};
@@ -134,40 +134,11 @@ fn cut_compilation(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_runner(c: &mut Criterion) {
-    let mut group = c.benchmark_group("qpd/parallel_map");
-    group.sample_size(10);
-    for &threads in &[1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    experiments::parallel_map_indexed(64, threads, |i| {
-                        let mut rng = StdRng::seed_from_u64(experiments::item_seed(1, i as u64));
-                        let w = qsim::haar_unitary(2, &mut rng);
-                        let p = PreparedCut::new(&NmeCut::new(0.5), &w, Pauli::Z);
-                        estimate_allocated(
-                            &p.spec,
-                            &p.samplers(),
-                            500,
-                            Allocator::Proportional,
-                            &mut rng,
-                        )
-                    })
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     shot_sampling,
     estimator_modes,
     sweep,
-    cut_compilation,
-    parallel_runner
+    cut_compilation
 );
 criterion_main!(benches);

@@ -61,10 +61,12 @@
 //! Total cost is `Σ_F 6^{in(F)}` fragment simulations plus an amortized
 //! O(1) frontier contraction per term — `Σ variants(fragment)` instead
 //! of `Π terms(group)` — so plans with 6+ cuts compile where the
-//! monolithic path blows up. The monolithic compiler stays as the
-//! pristine differential-testing reference
-//! (`tests/fragment_contraction.rs`), mirroring how `compile_dense`
-//! fences the hybrid sampler.
+//! monolithic path blows up. The sweep yields only each term's exact
+//! value; the plan turns it into the term's law
+//! ([`qpd::BernoulliTerm`]), the same law a stitched term gets. The
+//! monolithic compiler stays as the pristine differential-testing
+//! reference (`tests/fragment_contraction.rs`), mirroring how
+//! `compile_dense` fences the hybrid sampler.
 
 use crate::mub::{mub_error_pauli, MubField};
 use crate::nme::NmeCut;
@@ -565,14 +567,7 @@ impl FragmentBlocks {
                     Some(StateVector::from_amplitudes(width, amps))
                 };
                 let sampler = CompiledSampler::compile(&c, input.as_ref());
-                let prefix = sampler.clifford_prefix();
-                backend.terms += 1;
-                if prefix.prefix_len > 0 {
-                    backend.hybrid_terms += 1;
-                }
-                backend.total_instructions += prefix.total;
-                backend.clifford_instructions += prefix.prefix_len;
-                backend.gates_fused += sampler.fusion_stats().gates_fused;
+                backend.count_unit(&sampler);
                 // Measurement fragments branch over classical outcomes;
                 // the channel expectation is the probability-weighted
                 // sum over the branch leaves (one sub-block per

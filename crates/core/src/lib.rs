@@ -77,7 +77,7 @@ pub use nme::{NmeCut, TeleportationPassthrough};
 pub use peng::PengCut;
 pub use planner::{
     uncut_plan_expectation, BackendReport, CompiledPlan, CutGroup, CutPlan, CutPlanner,
-    PlanBackend, PlanKey, PlanReport, PlanTerm, PlannedCut, Protocol,
+    PlanBackend, PlanKey, PlanReport, PlannedCut, Protocol,
 };
 pub use service::{AllocationMode, BatchUpdate, CutService, EstimationJob, JobOutcome};
 pub use term::{identity_distance, reconstructed_channel, term_channel, CutTerm, WireCut};

@@ -202,22 +202,22 @@ impl BellDiagonalCut {
     /// term at the closed-form expectation of
     /// [`z_term_expectations`](Self::z_term_expectations).
     ///
-    /// Each `BernoulliTerm` serves an entire shot allocation as **one**
-    /// exact binomial draw (`qsample::binomial`), so a dense Werner
-    /// p-sweep (experiment E15) estimates at thousands of grid points
-    /// without ever simulating the 5-qubit term circuits — the channel
-    /// is Pauli, its action on `⟨Z⟩` is the closed form above, and the
-    /// shot noise is exactly the ±1 Bernoulli noise of a real Z
-    /// measurement. Cross-validated against the circuit-level
+    /// Each `BernoulliTerm` is the term's ±1 law, fixed by its
+    /// expectation (clamped into `[-1, 1]`) and prepared once: it serves
+    /// an entire shot allocation as **one** exact binomial draw, so a
+    /// dense Werner p-sweep (experiment E15) estimates at thousands of
+    /// grid points without ever simulating the 5-qubit term circuits —
+    /// the channel is Pauli, its action on `⟨Z⟩` is the closed form
+    /// above, and the shot noise is exactly the ±1 Bernoulli noise of a
+    /// real Z measurement. This is the same term law every compiled cut
+    /// plan draws from. Cross-validated against the circuit-level
     /// [`crate::executor::PreparedCut`] path in this module's tests.
     pub fn z_samplers(&self, z: f64) -> (qpd::QpdSpec, Vec<qpd::BernoulliTerm>) {
         let spec = WireCut::spec(self);
         let samplers = self
             .z_term_expectations(z)
             .iter()
-            .map(|&e| qpd::BernoulliTerm {
-                expectation: e.clamp(-1.0, 1.0),
-            })
+            .map(|&e| qpd::BernoulliTerm::new(e.clamp(-1.0, 1.0)))
             .collect();
         (spec, samplers)
     }
@@ -408,7 +408,8 @@ impl DistillThenCut {
         self.cut.z_term_expectations(z)
     }
 
-    /// The batched sampler path at the distilled weights, mirroring
+    /// The batched sampler path at the distilled weights: one
+    /// [`qpd::BernoulliTerm`] law per term, mirroring
     /// [`BellDiagonalCut::z_samplers`] — except the spec's per-term pair
     /// consumption is billed in **raw** pairs (`Πⱼ 2/sⱼ` each), so
     /// `QpdSpec::expected_pairs_per_sample` reports the true resource
@@ -417,9 +418,7 @@ impl DistillThenCut {
         let samplers = self
             .z_term_expectations(z)
             .iter()
-            .map(|&e| qpd::BernoulliTerm {
-                expectation: e.clamp(-1.0, 1.0),
-            })
+            .map(|&e| qpd::BernoulliTerm::new(e.clamp(-1.0, 1.0)))
             .collect();
         (WireCut::spec(self), samplers)
     }
@@ -690,6 +689,7 @@ mod tests {
 
     #[test]
     fn z_samplers_spec_matches_wire_cut_spec() {
+        use qpd::TermSampler;
         let cut = BellDiagonalCut::werner(0.7);
         let (spec, samplers) = cut.z_samplers(0.4);
         let reference = cut.spec();
@@ -703,7 +703,7 @@ mod tests {
             .coefficients()
             .iter()
             .zip(samplers.iter())
-            .map(|(c, s)| c * s.expectation)
+            .map(|(c, s)| c * s.exact_expectation())
             .sum();
         assert!((value - 0.4).abs() < 1e-10);
     }
@@ -898,6 +898,7 @@ mod tests {
 
     #[test]
     fn z_samplers_match_the_distilled_cut_closed_form() {
+        use qpd::TermSampler;
         let pipeline = DistillThenCut::werner(0.8, 1);
         let z = 0.37;
         let (spec, samplers) = pipeline.z_samplers(z);
@@ -906,12 +907,12 @@ mod tests {
             .coefficients()
             .iter()
             .zip(samplers.iter())
-            .map(|(c, s)| c * s.expectation)
+            .map(|(c, s)| c * s.exact_expectation())
             .sum();
         assert!((value - z).abs() < 1e-10, "recombined {value} vs {z}");
         // Per-term expectations equal the distilled-channel closed form.
         for (a, b) in pipeline.z_term_expectations(z).iter().zip(samplers.iter()) {
-            assert!((a - b.expectation).abs() < 1e-12);
+            assert!((a - b.exact_expectation()).abs() < 1e-12);
         }
     }
 

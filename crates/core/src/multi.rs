@@ -174,22 +174,7 @@ impl PreparedMultiTerm {
                 z_mask |= 1 << q;
             }
         }
-        let exact = sampler
-            .leaves()
-            .iter()
-            .map(|l| {
-                let mut acc = 0.0;
-                for (idx, p) in l.state.probabilities().iter().enumerate() {
-                    let sign = if (idx & z_mask).count_ones().is_multiple_of(2) {
-                        1.0
-                    } else {
-                        -1.0
-                    };
-                    acc += sign * p;
-                }
-                l.probability * acc
-            })
-            .sum();
+        let exact = sampler.exact_expval_parity(z_mask);
         Self {
             sampler,
             z_mask,

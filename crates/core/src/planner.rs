@@ -21,21 +21,24 @@
 //!    overlap satisfies `f ≥ f*(n)`; otherwise the entanglement-free
 //!    joint MUB cut (`κ = 2^{n+1} − 1`, [`crate::joint`]) wins.
 //! 4. **Compilation** — [`CompiledPlan::compile`] picks between two
-//!    backends. The default, **contracted** path
-//!    ([`CompiledPlan::compile_contracted`], [`crate::contract`])
-//!    compiles each *fragment* once per local boundary-role variant and
-//!    evaluates every product term by tensor contraction — cost
-//!    `Σ variants(fragment)` instead of `Π terms(group)`, so plans with
-//!    6+ cuts compile where stitching blows up. The **monolithic** path
+//!    ways of computing each product term's exact value. The default,
+//!    **contracted** path ([`CompiledPlan::compile_contracted`],
+//!    [`crate::contract`]) compiles each *fragment* once per local
+//!    boundary-role variant and evaluates every product term by tensor
+//!    contraction — cost `Σ variants(fragment)` instead of
+//!    `Π terms(group)`, so plans with 6+ cuts compile where stitching
+//!    blows up. The **monolithic** path
 //!    ([`CompiledPlan::compile_monolithic`]) stitches one circuit per
 //!    combination of per-group QPD terms (carrier-qubit threading
-//!    through [`Circuit::compose_mapped`]) and stays as the pristine
-//!    differential-testing reference, mirroring how `compile_dense`
-//!    fences the hybrid sampler. Both ride the [`CompiledSampler`]
-//!    branch-tree machinery and the batched [`TermSampler`] estimate
-//!    path; the plan-level coefficient structure is the product QPD
-//!    [`QpdSpec::product`], so `κ(plan) = Π κ(group)` and the stock
-//!    `qpd` allocators spread shots across all cuts at once.
+//!    through [`Circuit::compose_mapped`]), reads its value off the
+//!    [`CompiledSampler`] branch tree and drops the sampler; it stays
+//!    as the pristine differential-testing reference, mirroring how
+//!    `compile_dense` fences the hybrid sampler. Either way each term
+//!    becomes a [`BernoulliTerm`] on the batched [`TermSampler`]
+//!    estimate path: the one law its exact value fixes. The plan-level
+//!    coefficient structure is the product QPD [`QpdSpec::product`], so
+//!    `κ(plan) = Π κ(group)` and the stock `qpd` allocators spread shots
+//!    across all cuts at once.
 //!
 //! In debug/test builds every compilation re-verifies its cut groups
 //! once each through [`CompiledPlan::verify_groups`] (per-group spec
@@ -50,10 +53,8 @@ use crate::mub;
 use crate::multi::{MultiCutTerm, ParallelWireCut};
 use crate::nme::NmeCut;
 use crate::term::WireCut;
-use qpd::{QpdSpec, TermSampler};
-use qsample::Binomial;
+use qpd::{BernoulliTerm, QpdSpec, TermSampler};
 use qsim::{fragments_by_width, Circuit, CompiledSampler, Fragment, Instruction, Op, PauliString};
-use rand::Rng;
 
 /// The crossover overlap `f*(n) = 2/((2^{n+1} − 1)^{1/n} + 1)`:
 /// independent `|Φ_k⟩` cuts beat (or tie) the joint MUB cut exactly when
@@ -549,140 +550,6 @@ impl CutPlanner {
     }
 }
 
-/// How one compiled plan term is evaluated.
-enum TermBody {
-    /// The stitched monolithic circuit for one combination of per-group
-    /// QPD terms, with a diagonal parity observable over the final
-    /// carrier qubits.
-    Stitched {
-        sampler: CompiledSampler,
-        z_mask: usize,
-        num_qubits: usize,
-    },
-    /// The term's exact expectation came from the per-fragment tensor
-    /// contraction; the ±1 parity draw is a Bernoulli over it. This is
-    /// *distributionally identical* to the stitched term: a stitched
-    /// draw is ±1 with `P(+1) = (1 + ⟨O⟩)/2` no matter how the branch
-    /// tree decomposes it (the sum of per-leaf binomials over a
-    /// multinomial collapses to one binomial). The law
-    /// `B(·, (1 + exact)/2)` is prepared once at compile time, so a
-    /// batched draw pays for none of its `p`-only constants.
-    Contracted(Binomial),
-}
-
-/// One compiled plan term for one combination of per-group QPD terms.
-/// Samples through the same batched-binomial path as
-/// [`crate::multi::PreparedMultiCut`].
-pub struct PlanTerm {
-    body: TermBody,
-    exact: f64,
-}
-
-impl PlanTerm {
-    /// `true` when this term is evaluated by tensor contraction instead
-    /// of a stitched circuit.
-    pub fn is_contracted(&self) -> bool {
-        matches!(self.body, TermBody::Contracted(_))
-    }
-
-    /// Number of qubits of the stitched circuit (`None` for contracted
-    /// terms, which have no single circuit).
-    pub fn num_qubits(&self) -> Option<usize> {
-        match &self.body {
-            TermBody::Stitched { num_qubits, .. } => Some(*num_qubits),
-            TermBody::Contracted(_) => None,
-        }
-    }
-
-    /// The Clifford prefix of this term's stitched circuit that compiled
-    /// onto the stabilizer tableau (zero-length when the term ran
-    /// all-dense; `None` for contracted terms — their backend split is
-    /// aggregated per fragment variant in the plan's
-    /// [`CompiledPlan::backend_report`]).
-    pub fn clifford_prefix(&self) -> Option<qsim::CliffordPrefix> {
-        match &self.body {
-            TermBody::Stitched { sampler, .. } => Some(sampler.clifford_prefix()),
-            TermBody::Contracted(_) => None,
-        }
-    }
-
-    /// Single-qubit fusion summary for this term's dense portion
-    /// (`None` for contracted terms).
-    pub fn fusion_stats(&self) -> Option<qsim::FusionStats> {
-        match &self.body {
-            TermBody::Stitched { sampler, .. } => Some(sampler.fusion_stats()),
-            TermBody::Contracted(_) => None,
-        }
-    }
-}
-
-impl TermSampler for PlanTerm {
-    fn sample_observable(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        match &self.body {
-            TermBody::Stitched {
-                sampler,
-                z_mask,
-                num_qubits,
-            } => {
-                let leaf = sampler.sample_leaf(rng);
-                let idx = leaf.state.sample_z_basis(rng);
-                debug_assert!(idx < (1 << num_qubits));
-                if (idx & z_mask).count_ones().is_multiple_of(2) {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-            TermBody::Contracted(_) => {
-                let p_plus = (1.0 + self.exact) / 2.0;
-                if rng.gen::<f64>() < p_plus {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-        }
-    }
-
-    fn sample_observable_sum(&self, shots: u64, rng: &mut dyn rand::RngCore) -> f64 {
-        match &self.body {
-            TermBody::Stitched {
-                sampler, z_mask, ..
-            } => {
-                // One multinomial over branch leaves, then a parity
-                // binomial per occupied leaf — identical to the
-                // multi-cut batched path.
-                let counts = sampler.sample_batch(shots, rng);
-                let mut sum = 0.0;
-                for (leaf, &n) in sampler.leaves().iter().zip(counts.iter()) {
-                    if n == 0 {
-                        continue;
-                    }
-                    let p_plus: f64 = leaf
-                        .state
-                        .probabilities()
-                        .iter()
-                        .enumerate()
-                        .filter(|(idx, _)| (idx & z_mask).count_ones().is_multiple_of(2))
-                        .map(|(_, p)| p)
-                        .sum();
-                    let plus = qsample::binomial(n, p_plus.clamp(0.0, 1.0), rng);
-                    sum += 2.0 * plus as f64 - n as f64;
-                }
-                sum
-            }
-            TermBody::Contracted(law) => {
-                let plus = law.sample(shots, rng);
-                2.0 * plus as f64 - shots as f64
-            }
-        }
-    }
-
-    fn exact_expectation(&self) -> f64 {
-        self.exact
-    }
-}
-
 /// Which compilation strategy produced a [`CompiledPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanBackend {
@@ -729,8 +596,9 @@ pub struct BackendReport {
 }
 
 impl BackendReport {
-    /// Fraction of stitched instructions on the stabilizer fast path
-    /// (1.0 for an empty plan, which trivially has no dense work).
+    /// Fraction of the compiled units' instructions on the stabilizer
+    /// fast path (1.0 for an empty plan, which trivially has no dense
+    /// work).
     pub fn clifford_fraction(&self) -> f64 {
         if self.total_instructions == 0 {
             1.0
@@ -738,15 +606,56 @@ impl BackendReport {
             self.clifford_instructions as f64 / self.total_instructions as f64
         }
     }
+
+    /// Share of the sweep's touched odometer digits served from the
+    /// prefix cache, `prefix_hits / (prefix_hits + prefix_rebuilds)`
+    /// (0.0 when the plan swept nothing).
+    pub fn prefix_hit_rate(&self) -> f64 {
+        let touched = self.prefix_hits + self.prefix_rebuilds;
+        if touched == 0 {
+            0.0
+        } else {
+            self.prefix_hits as f64 / touched as f64
+        }
+    }
+
+    /// The prefix cache's payoff, `frontier_ops_uncached / frontier_ops`
+    /// (1.0 when the plan contracted no frontier).
+    pub fn frontier_savings(&self) -> f64 {
+        if self.frontier_ops == 0 {
+            1.0
+        } else {
+            self.frontier_ops_uncached as f64 / self.frontier_ops as f64
+        }
+    }
+
+    /// Counts one compiled circuit unit: its tableau prefix, its
+    /// instruction total and the gates fusion absorbed.
+    pub(crate) fn count_unit(&mut self, sampler: &CompiledSampler) {
+        let prefix = sampler.clifford_prefix();
+        self.terms += 1;
+        if prefix.prefix_len > 0 {
+            self.hybrid_terms += 1;
+        }
+        self.total_instructions += prefix.total;
+        self.clifford_instructions += prefix.prefix_len;
+        self.gates_fused += sampler.fusion_stats().gates_fused;
+    }
 }
 
 /// A fully compiled execution plan: the product QPD spec across all cut
-/// groups plus one [`PlanTerm`] per term combination, ready for the
+/// groups plus one [`BernoulliTerm`] per term combination, ready for the
 /// stock `qpd` estimators.
+///
+/// Both backends only compute each term's exact value `⟨O⟩ᵢ`. A ±1
+/// observable's law is fixed by that value, so every term draws from
+/// the same prepared `B(n, (1 + ⟨O⟩ᵢ)/2)` whichever backend computed
+/// it, and no plan keeps a per-term circuit or sampler.
 pub struct CompiledPlan {
     /// Product QPD coefficient structure (`κ = Π κ(group)`).
     pub spec: QpdSpec,
-    terms: Vec<PlanTerm>,
+    terms: Vec<BernoulliTerm>,
+    exact: f64,
     report: PlanReport,
     backend: PlanBackend,
     backend_report: BackendReport,
@@ -765,8 +674,8 @@ impl CompiledPlan {
     /// supports it ([`crate::contract::supports_contraction`]),
     /// otherwise the monolithic
     /// stitching path ([`CompiledPlan::compile_monolithic`]). Both are
-    /// exact, deterministic and sample-equivalent; they differ only in
-    /// compilation cost scaling.
+    /// exact and deterministic, and their terms draw from one law; they
+    /// differ only in compilation cost scaling.
     ///
     /// In debug/test builds the compiled plan's cut groups are verified
     /// on the spot ([`CompiledPlan::verify_groups`]), so malformed term
@@ -812,11 +721,7 @@ impl CompiledPlan {
         // One pick buffer, stepped in place like an odometer.
         let mut pick = vec![0usize; lens.len()];
         for _ in 0..total {
-            let exact = sweep.term_value(&pick);
-            terms.push(PlanTerm {
-                body: TermBody::Contracted(Binomial::new(((1.0 + exact) / 2.0).clamp(0.0, 1.0))),
-                exact,
-            });
+            terms.push(BernoulliTerm::new(sweep.term_value(&pick)));
             for g in (0..lens.len()).rev() {
                 pick[g] += 1;
                 if pick[g] < lens[g] {
@@ -831,30 +736,24 @@ impl CompiledPlan {
         backend_report.frontier_ops_uncached = stats.frontier_ops_uncached;
         backend_report.prefix_hits = stats.prefix_hits;
         backend_report.prefix_rebuilds = stats.prefix_rebuilds;
-        let compiled = Self {
+        Self::assemble(
+            plan,
             spec,
             terms,
-            report: plan.report(),
-            backend: PlanBackend::Contracted,
+            PlanBackend::Contracted,
             backend_report,
-            fragment_summaries: blocks.summaries().to_vec(),
-            fallback_reason: None,
-        };
-        if cfg!(debug_assertions) {
-            compiled
-                .verify_groups(1e-8)
-                .expect("compiled plan failed group verification");
-        }
-        compiled
+            blocks.summaries().to_vec(),
+        )
     }
 
     /// The **monolithic** backend: stitches one carrier-threaded circuit
-    /// per combination of per-group QPD terms. Compilation cost grows as
-    /// `Π terms(group)` — intractable past ~4 cuts — so this path exists
-    /// as the pristine differential-testing reference for the contracted
-    /// backend (`tests/fragment_contraction.rs`) and as the fallback for
-    /// plans the contraction does not support (cross-fragment
-    /// feed-forward, oversized groups — see
+    /// per combination of per-group QPD terms, simulates it once for the
+    /// term's exact value and drops its sampler. Compilation cost grows
+    /// as `Π terms(group)` — intractable past ~4 cuts — so this path
+    /// exists as the pristine differential-testing reference for the
+    /// contracted backend (`tests/fragment_contraction.rs`) and as the
+    /// fallback for plans the contraction does not support (uncut plans,
+    /// cross-fragment feed-forward, oversized groups — see
     /// [`contraction_ineligibility`]).
     pub fn compile_monolithic(plan: &CutPlan, observable: &PauliString) -> Self {
         let circuit = plan.circuit();
@@ -867,11 +766,12 @@ impl CompiledPlan {
             observable.is_diagonal(),
             "plan estimator supports diagonal (Z/I) observables"
         );
+        let mut backend_report = BackendReport::default();
         let (spec, terms) = if plan.groups.is_empty() {
             // Nothing to cut: a single unit-coefficient term.
             let spec = QpdSpec::from_parts(&[(1.0, "uncut", 0.0)]);
-            let terms = vec![compile_combo(plan, &[], observable)];
-            (spec, terms)
+            let exact = compile_combo(plan, &[], observable, &mut backend_report);
+            (spec, vec![BernoulliTerm::new(exact)])
         } else {
             let group_terms: Vec<Vec<MultiCutTerm>> =
                 plan.groups.iter().map(|g| g.terms()).collect();
@@ -890,32 +790,43 @@ impl CompiledPlan {
                     picked[g] = &group_terms[g][rem % lens[g]];
                     rem /= lens[g];
                 }
-                terms.push(compile_combo(plan, &picked, observable));
+                let exact = compile_combo(plan, &picked, observable, &mut backend_report);
+                terms.push(BernoulliTerm::new(exact));
             }
             (spec, terms)
         };
-        let mut backend_report = BackendReport {
-            terms: terms.len(),
-            ..BackendReport::default()
-        };
-        for t in &terms {
-            let p = t.clifford_prefix().expect("stitched term has a circuit");
-            if p.prefix_len > 0 {
-                backend_report.hybrid_terms += 1;
-            }
-            backend_report.total_instructions += p.total;
-            backend_report.clifford_instructions += p.prefix_len;
-            backend_report.gates_fused += t.fusion_stats().expect("stitched term").gates_fused;
-        }
-        let compiled = Self {
+        Self::assemble(
+            plan,
             spec,
             terms,
-            report: plan.report(),
-            backend: PlanBackend::Monolithic,
+            PlanBackend::Monolithic,
             backend_report,
-            fragment_summaries: Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    /// The plan both backends finish with: `terms` aligned with `spec`,
+    /// the exact value summed once, and in debug/test builds the cut
+    /// groups verified on the spot.
+    fn assemble(
+        plan: &CutPlan,
+        spec: QpdSpec,
+        terms: Vec<BernoulliTerm>,
+        backend: PlanBackend,
+        backend_report: BackendReport,
+        fragment_summaries: Vec<FragmentBlockSummary>,
+    ) -> Self {
+        let mut compiled = Self {
+            spec,
+            terms,
+            exact: 0.0,
+            report: plan.report(),
+            backend,
+            backend_report,
+            fragment_summaries,
             fallback_reason: None,
         };
+        compiled.exact = qpd::exact_value(&compiled.spec, &compiled.samplers());
         if cfg!(debug_assertions) {
             compiled
                 .verify_groups(1e-8)
@@ -930,14 +841,15 @@ impl CompiledPlan {
     }
 
     /// The compiled terms, aligned with [`CompiledPlan::spec`].
-    pub fn plan_terms(&self) -> &[PlanTerm] {
+    pub fn plan_terms(&self) -> &[BernoulliTerm] {
         &self.terms
     }
 
-    /// Exact decomposed value `Σ cᵢ·⟨O⟩ᵢ` — must equal the uncut
-    /// statevector expectation for a correct plan.
+    /// Exact decomposed value `Σ cᵢ·⟨O⟩ᵢ`, summed once at compile time
+    /// — must equal the uncut statevector expectation for a correct
+    /// plan.
     pub fn exact_value(&self) -> f64 {
-        qpd::exact_value(&self.spec, &self.samplers())
+        self.exact
     }
 
     /// Exact per-term expectations, aligned with [`CompiledPlan::spec`].
@@ -956,9 +868,10 @@ impl CompiledPlan {
     }
 
     /// Which simulator backends the plan's compiled circuits actually
-    /// rode — the fast-path visibility the service surfaces per job.
-    /// Aggregated over stitched term circuits (monolithic) or fragment
-    /// prep variants (contracted), and captured at compile time.
+    /// rode, plus the contracted sweep's counters. Aggregated over
+    /// stitched term circuits (monolithic) or fragment prep variants
+    /// (contracted), and captured at compile time; a service client
+    /// reads it off the cached plan ([`crate::service::CutService::compiled`]).
     pub fn backend_report(&self) -> BackendReport {
         self.backend_report
     }
@@ -1042,12 +955,20 @@ impl CompiledPlan {
     }
 }
 
-/// Stitches one monolithic circuit for one per-group term combination:
-/// original instructions are threaded through per-wire *carrier* qubits,
-/// and at each group's boundary the picked term circuit is spliced in
-/// (term inputs ↦ current carriers, everything else ↦ fresh qubits,
-/// term outputs become the new carriers).
-fn compile_combo(plan: &CutPlan, picked: &[&MultiCutTerm], observable: &PauliString) -> PlanTerm {
+/// Stitches one monolithic circuit for one per-group term combination
+/// and returns the term's exact value: original instructions are
+/// threaded through per-wire *carrier* qubits, and at each group's
+/// boundary the picked term circuit is spliced in (term inputs ↦
+/// current carriers, everything else ↦ fresh qubits, term outputs
+/// become the new carriers). The circuit's backend split is counted
+/// into `report`; its sampler, which holds every branch-leaf state, is
+/// dropped.
+fn compile_combo(
+    plan: &CutPlan,
+    picked: &[&MultiCutTerm],
+    observable: &PauliString,
+    report: &mut BackendReport,
+) -> f64 {
     let circuit = plan.circuit();
     let n0 = circuit.num_qubits();
     let extra_qubits: usize = picked
@@ -1088,36 +1009,14 @@ fn compile_combo(plan: &CutPlan, picked: &[&MultiCutTerm], observable: &PauliStr
         }
     }
     let sampler = CompiledSampler::compile(&out, None);
+    report.count_unit(&sampler);
     let mut z_mask = 0usize;
     for (w, &q) in carrier.iter().enumerate() {
         if observable.op(w) == qsim::Pauli::Z {
             z_mask |= 1 << q;
         }
     }
-    let exact = sampler
-        .leaves()
-        .iter()
-        .map(|l| {
-            let mut acc = 0.0;
-            for (idx, p) in l.state.probabilities().iter().enumerate() {
-                let sign = if (idx & z_mask).count_ones().is_multiple_of(2) {
-                    1.0
-                } else {
-                    -1.0
-                };
-                acc += sign * p;
-            }
-            l.probability * acc
-        })
-        .sum();
-    PlanTerm {
-        body: TermBody::Stitched {
-            sampler,
-            z_mask,
-            num_qubits: total_qubits,
-        },
-        exact,
-    }
+    sampler.exact_expval_parity(z_mask)
 }
 
 /// Remaps one original-circuit instruction through the current carriers.
@@ -1138,8 +1037,9 @@ fn map_through_carriers(instr: &Instruction, carrier: &[usize]) -> Instruction {
 }
 
 /// The uncut reference: exact expectation of a diagonal (Z/I) observable
-/// after running `circuit` from `|0…0⟩`, via the same branch-tree
-/// enumeration the plan terms use.
+/// after running `circuit` from `|0…0⟩`, read off the circuit's whole
+/// branch tree by [`CompiledSampler::exact_expval_parity`] — the readout
+/// that also gives each monolithic plan term its value.
 pub fn uncut_plan_expectation(circuit: &Circuit, observable: &PauliString) -> f64 {
     assert_eq!(observable.num_qubits(), circuit.num_qubits());
     assert!(observable.is_diagonal());
@@ -1150,22 +1050,7 @@ pub fn uncut_plan_expectation(circuit: &Circuit, observable: &PauliString) -> f6
             z_mask |= 1 << q;
         }
     }
-    sampler
-        .leaves()
-        .iter()
-        .map(|l| {
-            let mut acc = 0.0;
-            for (idx, p) in l.state.probabilities().iter().enumerate() {
-                let sign = if (idx & z_mask).count_ones().is_multiple_of(2) {
-                    1.0
-                } else {
-                    -1.0
-                };
-                acc += sign * p;
-            }
-            l.probability * acc
-        })
-        .sum()
+    sampler.exact_expval_parity(z_mask)
 }
 
 #[cfg(test)]
@@ -1309,12 +1194,19 @@ mod tests {
         assert_eq!(r.terms, compiled.plan_terms().len());
         assert!(r.total_instructions > 0);
         assert!(r.clifford_fraction() >= 0.0 && r.clifford_fraction() <= 1.0);
-        let prefix_sum: usize = compiled
-            .plan_terms()
-            .iter()
-            .map(|t| t.clifford_prefix().unwrap().prefix_len)
-            .sum();
-        assert_eq!(prefix_sum, r.clifford_instructions);
+        // The nine stitched terms' split, summed as they compile: every
+        // term runs dense from its Ry head on.
+        assert_eq!(
+            r,
+            BackendReport {
+                terms: 9,
+                hybrid_terms: 0,
+                total_instructions: 186,
+                clifford_instructions: 0,
+                gates_fused: 24,
+                ..BackendReport::default()
+            }
+        );
         // An all-Clifford circuit compiles to a plan whose uncut single
         // term is fully on the fast path.
         let mut cliff = Circuit::new(2, 0);
@@ -1596,7 +1488,6 @@ mod tests {
         let auto = CompiledPlan::compile(&plan, &obs);
         assert_eq!(auto.backend(), PlanBackend::Contracted);
         assert_eq!(auto.fragment_summaries().len(), plan.fragments.len());
-        assert!(auto.plan_terms().iter().all(|t| t.is_contracted()));
         let mono = CompiledPlan::compile_monolithic(&plan, &obs);
         assert_eq!(auto.spec.len(), mono.spec.len());
         for (a, m) in auto.exact_terms().iter().zip(mono.exact_terms()) {
@@ -1628,6 +1519,70 @@ mod tests {
         assert!(compiled.fragment_summaries().is_empty());
         let reason = compiled.fallback_reason().expect("fallback must be named");
         assert!(reason.contains("classical bit"), "{reason}");
+    }
+
+    /// The plans the contraction does not cover, as named by
+    /// [`contraction_ineligibility`]: a clbit shared between fragments
+    /// (cross-fragment feed-forward) and a plan with nothing to cut.
+    fn fallback_plans() -> [(CutPlan, PauliString); 2] {
+        let mut ff = Circuit::new(3, 1);
+        ff.ry(0.4, 0).cx(0, 1).measure(1, 0).cx(1, 2).x_if(2, 0);
+        [
+            (CutPlanner::new(2).plan(&ff), PauliString::from_label("ZZI")),
+            (
+                CutPlanner::new(3).plan(&ladder(3)),
+                PauliString::from_label("ZZZ"),
+            ),
+        ]
+    }
+
+    #[test]
+    fn fallback_plan_terms_draw_from_the_one_term_law() {
+        // A monolithic term's batched draw is the binomial its exact
+        // value fixes, on the RNG words a per-call `qsample::binomial`
+        // reads: no multinomial over the stitched circuit's branch
+        // leaves comes first.
+        for (plan, obs) in fallback_plans() {
+            let compiled = CompiledPlan::compile(&plan, &obs);
+            assert_eq!(compiled.backend(), PlanBackend::Monolithic);
+            assert!(compiled.fallback_reason().is_some());
+            for (i, term) in compiled.plan_terms().iter().enumerate() {
+                let p_plus = ((1.0 + term.exact_expectation()) / 2.0).clamp(0.0, 1.0);
+                let mut rng = qsample::StreamRng::new(0xFA11, i as u64);
+                let mut oracle = rng.clone();
+                for n in [0, 1, 7, 4096] {
+                    let plus = qsample::binomial(n, p_plus, &mut oracle);
+                    assert_eq!(
+                        term.sample_observable_sum(n, &mut rng).to_bits(),
+                        (2.0 * plus as f64 - n as f64).to_bits(),
+                        "term {i}, {n} shots"
+                    );
+                }
+                assert_eq!(rng.position(), oracle.position(), "term {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_plans_store_the_summed_exact_value() {
+        // The exact value is summed once at compile time, by the same
+        // `qpd::exact_value` an estimator would run over the terms.
+        let ladder_plan = CutPlanner::new(2).with_overlap(0.8).plan(&ladder(4));
+        let cases = fallback_plans()
+            .into_iter()
+            .chain([(ladder_plan, PauliString::from_label("ZZZZ"))]);
+        for (plan, obs) in cases {
+            let uncut = uncut_plan_expectation(plan.circuit(), &obs);
+            let mut compiled = vec![CompiledPlan::compile_monolithic(&plan, &obs)];
+            if contraction_ineligibility(&plan).is_none() {
+                compiled.push(CompiledPlan::compile_contracted(&plan, &obs));
+            }
+            for c in &compiled {
+                let summed = qpd::exact_value(&c.spec, &c.samplers());
+                assert_eq!(c.exact_value().to_bits(), summed.to_bits());
+                assert!((c.exact_value() - uncut).abs() < 1e-10);
+            }
+        }
     }
 
     #[test]

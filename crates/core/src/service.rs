@@ -3,9 +3,12 @@
 //! The ROADMAP's production shape for heavy traffic: a library-level job
 //! engine accepting estimation requests — circuit + observable + shot
 //! budget + seed — from many concurrent clients, where the expensive
-//! work (planning and compiling a [`CompiledPlan`]: MUB construction,
-//! term stitching, per-term statevector simulation) is paid **once per
-//! distinct plan** and every repeat request only pays for sampling.
+//! work (planning and compiling a [`CompiledPlan`]: fragment blocks,
+//! group transfers and the frontier sweep that gives every product term
+//! its exact value, or one stitched circuit per term for the plans the
+//! contraction does not cover) is paid **once per distinct plan** and
+//! every repeat request only pays for shot allocation and one binomial
+//! draw per term and batch.
 //!
 //! * **Compiled-plan cache** — compiled plans live behind a sharded
 //!   read-through cache (`Arc<CompiledPlan>` under per-shard mutexes),
@@ -56,9 +59,9 @@
 //! deterministic outputs. `tests/service_determinism.rs` pins the whole
 //! contract.
 
-use crate::planner::{CompiledPlan, CutPlanner, PlanBackend, PlanKey};
+use crate::planner::{CompiledPlan, CutPlanner, PlanKey};
 use parking_lot::Mutex;
-use qpd::{Allocator, SequentialAllocator};
+use qpd::{Allocator, SequentialAllocator, TermSampler};
 use qsample::{ShardedGrid, StreamRng};
 use qsim::{Circuit, PauliString};
 use std::collections::hash_map::RandomState;
@@ -168,27 +171,6 @@ pub struct JobOutcome {
     pub updates: Vec<BatchUpdate>,
     /// Pooled per-term shot counts (sums to `shots`).
     pub allocation: Vec<u64>,
-    /// Fraction of the plan's compiled instructions that landed on the
-    /// stabilizer fast path (see
-    /// [`crate::planner::BackendReport::clifford_fraction`]).
-    pub clifford_fraction: f64,
-    /// Which compilation backend the plan rode — contracted
-    /// fragment-block compilation or the monolithic stitching reference
-    /// (see [`crate::planner::PlanBackend`]).
-    pub backend: PlanBackend,
-    /// Circuit units the backend compiled: stitched term circuits
-    /// (monolithic) or fragment prep variants (contracted). The
-    /// contracted count is `Σ variants(fragment)` and stays flat in the
-    /// cut count where the monolithic `Π terms(group)` explodes.
-    pub compiled_units: usize,
-    /// Prefix-cache hits of the contracted backend's odometer sweep —
-    /// Σ over terms of the resume depth (0 on the monolithic path).
-    pub prefix_hits: usize,
-    /// Frontier matrix multiplications the contracted sweep performed.
-    pub frontier_ops: usize,
-    /// Frontier multiplications a cache-disabled sweep would have
-    /// performed (see [`crate::planner::BackendReport`]).
-    pub frontier_ops_uncached: usize,
 }
 
 /// One cached plan: the exact key words it was compiled for, its FNV
@@ -352,7 +334,7 @@ impl CutService {
     ) -> JobOutcome {
         assert!(job.batches >= 1, "a job needs at least one batch");
         let (plan, key, cache_hit) = self.compiled(&job.circuit, &job.observable);
-        let samplers = plan.samplers();
+        let terms = plan.plan_terms();
         let num_terms = plan.spec.len();
         let mut seq = SequentialAllocator::new(num_terms);
         // At most one update per shot: a job with far more batches than
@@ -392,7 +374,7 @@ impl CutService {
                 // nothing else. `root` only saves recomputing the seed's
                 // round keys per lane.
                 let mut lane = root.derive(&[batch, term as u64]);
-                seq.record(term, samplers[term].sample_observable_sum(n, &mut lane), n);
+                seq.record(term, terms[term].sample_observable_sum(n, &mut lane), n);
             }
             let update = BatchUpdate {
                 batch,
@@ -411,12 +393,6 @@ impl CutService {
             cache_hit,
             updates,
             allocation: (0..num_terms).map(|i| seq.count(i)).collect(),
-            clifford_fraction: plan.backend_report().clifford_fraction(),
-            backend: plan.backend(),
-            compiled_units: plan.backend_report().terms,
-            prefix_hits: plan.backend_report().prefix_hits,
-            frontier_ops: plan.backend_report().frontier_ops,
-            frontier_ops_uncached: plan.backend_report().frontier_ops_uncached,
         }
     }
 

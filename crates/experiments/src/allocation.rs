@@ -4,9 +4,9 @@
 //! stochastic per-shot sampler of Eq. 12.
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::RunningStats;
 use qpd::{estimate_allocated, estimate_stochastic, Allocator};
+use qsample::grid::ShardedGrid;
 use qsim::{haar_unitary, Pauli};
 use wirecut::{NmeCut, PreparedCut};
 

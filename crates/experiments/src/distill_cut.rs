@@ -30,7 +30,7 @@
 //! the argmin-`m` on both axes and the smallest `m` that closes the raw
 //! γ gap ([`wirecut::mixed::rounds_to_close_gap`]).
 //!
-//! The `(p, m, state)` grid is sharded by [`crate::grid::ShardedGrid`];
+//! The `(p, m, state)` grid is sharded by [`qsample::grid::ShardedGrid`];
 //! Haar states ride a state-keyed stream shared across *both* swept
 //! parameters (paired design), and the CSVs are byte-identical for any
 //! thread count (`tests/sharding_determinism.rs`).
@@ -40,10 +40,10 @@
 //! `results/distill_cut_frontier.csv`).
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::{measure_overhead_cell, OverheadMeasurement, RunningStats};
 use entangle::RecurrenceProtocol;
 use qpd::TermSampler;
+use qsample::grid::ShardedGrid;
 use qsim::{haar_unitary, Pauli};
 use wirecut::mixed::{
     inversion_kappa, optimal_rounds, rounds_to_close_gap, BellDiagonalCut, DistillThenCut,

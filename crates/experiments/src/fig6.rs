@@ -16,15 +16,15 @@
 //! tree walk per shot), so the sweep's cost is dominated by the number
 //! of (state, overlap) grid points rather than the shot budget. The
 //! whole (overlap, state) grid is sharded across workers by
-//! [`crate::grid::ShardedGrid`]: each cell samples from its own
+//! [`qsample::grid::ShardedGrid`]: each cell samples from its own
 //! counter-based stream keyed by `(f, state)`, while the Haar input
 //! state is drawn from a stream keyed by the state index alone — so all
 //! six overlap curves see the *same* random states (the paper's paired
 //! design) and the result is byte-identical for any thread count.
 
-use crate::grid::ShardedGrid;
 use crate::stats::RunningStats;
 use qpd::proportional_sweep;
+use qsample::grid::ShardedGrid;
 use qsim::{haar_unitary, Pauli};
 use wirecut::{NmeCut, PreparedCut};
 

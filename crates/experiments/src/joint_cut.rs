@@ -10,9 +10,9 @@
 //! binomials).
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::RunningStats;
 use qpd::{estimate_allocated, Allocator};
+use qsample::grid::ShardedGrid;
 use qsample::StreamRng;
 use qsim::{Circuit, PauliString};
 use rand::Rng;

@@ -26,10 +26,10 @@
 //! (writes `results/joint_scaling_{crossover,nme,shots}.csv`).
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::RunningStats;
 use entangle::PhiK;
 use qpd::{estimate_allocated, Allocator};
+use qsample::grid::ShardedGrid;
 use qsim::{Circuit, PauliString};
 use rand::Rng;
 use wirecut::joint::JointWireCut;

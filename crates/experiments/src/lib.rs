@@ -19,10 +19,11 @@
 //! | [`plan_cut`] | **E17**: arbitrary-circuit cut-planner sweep — multi-fragment plans vs uncut statevector |
 //! | [`service_load`] | **E18**: cutting-as-a-service load — plan-cache reuse + sequential vs static allocation variance |
 //!
-//! Infrastructure: [`grid`] (the configuration-grid sharding engine:
-//! work-stealing over whole configurations with per-shard counter-based
-//! RNG streams and deterministic grid-order output), [`par`] (item-level
-//! work-stealing map), [`stats`] (Welford accumulators, Wilson
+//! Infrastructure: every sweep runs on [`qsample::grid`] (the
+//! configuration-grid sharding engine: work-stealing over whole
+//! configurations with per-shard counter-based RNG streams and
+//! deterministic grid-order output); [`par`] (per-item seeds and the
+//! default worker count), [`stats`] (Welford accumulators, Wilson
 //! intervals), [`csvout`] (CSV/pretty tables into `results/`).
 //!
 //! Each experiment has a matching binary (`cargo run --release -p
@@ -35,7 +36,6 @@ pub mod allocation;
 pub mod csvout;
 pub mod distill_cut;
 pub mod fig6;
-pub mod grid;
 pub mod joint_cut;
 pub mod joint_scaling;
 pub mod multicut;
@@ -51,8 +51,7 @@ pub mod werner;
 pub mod werner_sweep;
 
 pub use csvout::{results_dir, Table};
-pub use grid::{keyed_stream, GridKey, KeyHasher, ShardCtx, ShardResult, ShardedGrid};
-pub use par::{default_threads, item_seed, parallel_map_indexed};
+pub use par::{default_threads, item_seed};
 pub use stats::RunningStats;
 
 /// Parses the shared `--threads N` CLI flag used by the experiment

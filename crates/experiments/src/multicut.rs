@@ -5,9 +5,9 @@
 //! that exponential.
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::RunningStats;
 use qpd::{estimate_allocated, Allocator};
+use qsample::grid::ShardedGrid;
 use qsample::StreamRng;
 use qsim::{Circuit, PauliString};
 use rand::Rng;

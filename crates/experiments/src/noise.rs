@@ -13,10 +13,10 @@
 //! path (one binomial per term and budget, not one draw per shot).
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::RunningStats;
 use qlinalg::Matrix;
 use qpd::{BernoulliTerm, QpdSpec, TermSampler};
+use qsample::grid::ShardedGrid;
 use qsim::noise::{execute_density_noisy, NoiseModel};
 use qsim::{haar_unitary, Circuit, Pauli, PauliString};
 use wirecut::term::embed_input;
@@ -136,9 +136,7 @@ pub fn run(config: &NoiseConfig) -> Table {
             // expectations.
             let samplers: Vec<BernoulliTerm> = noisy_vals
                 .iter()
-                .map(|&e| BernoulliTerm {
-                    expectation: e.clamp(-1.0, 1.0),
-                })
+                .map(|&e| BernoulliTerm::new(e.clamp(-1.0, 1.0)))
                 .collect();
             let refs: Vec<&dyn TermSampler> =
                 samplers.iter().map(|s| s as &dyn TermSampler).collect();

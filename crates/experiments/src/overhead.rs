@@ -14,9 +14,9 @@
 //! Every repetition draws its whole budget through the batched shot
 //! engine, so the variance scan stays cheap at large `N`.
 
-use crate::grid::ShardedGrid;
 use crate::stats::{mean, variance};
 use qpd::{estimate_allocated, Allocator};
+use qsample::grid::ShardedGrid;
 use qsim::{haar_unitary, Pauli};
 use wirecut::{theory, NmeCut, PreparedCut, WireCut};
 

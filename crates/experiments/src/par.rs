@@ -1,70 +1,16 @@
-//! Parallel map over a work list using crossbeam scoped threads.
+//! Per-item seeding and the default worker count.
 //!
-//! The experiments are embarrassingly parallel across input states, so we
-//! follow the workspace concurrency guide: a shared atomic work index
-//! (work stealing at item granularity — no static partitioning, so uneven
-//! item costs balance automatically), scoped threads (no `'static`
-//! bounds), and a pre-sized slot vector as the result sink. Each worker
-//! owns its RNG; determinism comes from seeding per *item*, not per
-//! thread, so results are identical regardless of thread count.
-//!
-//! This is the item-level primitive; configuration-level sweeps (the
-//! Cartesian (state, overlap, shots) grids of the experiments) go
-//! through the richer [`crate::grid::ShardedGrid`] engine, which layers
-//! per-shard counter-based RNG streams and a mergeable accumulator on
-//! top of the same work-stealing loop.
-
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Maps `f` over `0..n` items in parallel, preserving item order in the
-/// output. `f` receives the item index and must be deterministic given it
-/// (seed RNGs from the index) for reproducible results.
-///
-/// Each result is written into its index's pre-sized slot the moment it
-/// is computed, so output order is fixed by construction — *not* by the
-/// order in which workers complete items. (An earlier version pushed
-/// `(index, result)` pairs into a shared vector in completion order and
-/// re-sorted at the end; `tests/sharding_determinism.rs` keeps a jitter
-/// regression against that hazard.)
-pub fn parallel_map_indexed<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    assert!(threads >= 1);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // Compute outside the lock; each slot is touched by
-                // exactly one worker, so the lock is never contended.
-                let value = f(i);
-                *slots[i].lock() = Some(value);
-            });
-        }
-    })
-    // Re-raise a worker panic with its original payload so assertion
-    // messages from parallel experiment code reach the test harness.
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(|| panic!("slot {i} never filled"))
-        })
-        .collect()
-}
+//! Every parallel sweep in this crate runs on
+//! [`qsample::grid::ShardedGrid`], which shards whole configurations
+//! across a work-stealing pool and draws each shard's randomness from a
+//! counter-based stream keyed by the configuration, so results never
+//! depend on the thread count. This module keeps the two small helpers
+//! around it: a decorrelated seed per work item, and the worker count a
+//! sweep uses when none is given.
 
 /// Default worker count: available parallelism, capped at 16
-/// (re-exported from [`qsample::grid`], where the sharding engine now
-/// lives so the service layer below this crate can use it too).
+/// (re-exported from [`qsample::grid`], where the sharding engine lives
+/// so the service layer below this crate can use it too).
 pub use qsample::grid::default_threads;
 
 /// Derives a decorrelated 64-bit seed for item `i` from a base seed
@@ -80,42 +26,6 @@ pub fn item_seed(base: u64, i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_order_and_completeness() {
-        let out = parallel_map_indexed(1000, 8, |i| i * i);
-        assert_eq!(out.len(), 1000);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * i);
-        }
-    }
-
-    #[test]
-    fn single_thread_matches_multi_thread() {
-        let f = |i: usize| (i as f64).sin() * item_seed(42, i as u64) as f64;
-        let a = parallel_map_indexed(257, 1, f);
-        let b = parallel_map_indexed(257, 7, f);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<u32> = parallel_map_indexed(0, 4, |_| 1);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn uneven_work_is_balanced() {
-        // Items with wildly different costs still all complete.
-        let out = parallel_map_indexed(64, 8, |i| {
-            let mut acc = 0u64;
-            for k in 0..(i * 1000) {
-                acc = acc.wrapping_add(k as u64);
-            }
-            acc
-        });
-        assert_eq!(out.len(), 64);
-    }
 
     #[test]
     fn item_seeds_are_distinct() {

@@ -16,7 +16,7 @@
 //!
 //! Circuits ride a circuit-index-keyed shared stream so every overlap
 //! plans the **same** circuit family (paired design), and the whole
-//! `(f, circuit)` grid is sharded by [`crate::grid::ShardedGrid`] — the
+//! `(f, circuit)` grid is sharded by [`qsample::grid::ShardedGrid`] — the
 //! CSV is byte-identical for any thread count. Unitary plans compile
 //! through the **contracted fragment-block backend**
 //! (`wirecut::contract`, cost `Σ variants(fragment)`), so the cut count
@@ -35,9 +35,9 @@
 //! (writes `results/plan_cut.csv`).
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::{qpd_wilson_band, RunningStats};
 use qpd::Allocator;
+use qsample::grid::ShardedGrid;
 use qsim::{random_unitary_circuit, Circuit, PauliString};
 use wirecut::planner::{uncut_plan_expectation, CompiledPlan, CutPlan, CutPlanner, Protocol};
 
@@ -214,19 +214,8 @@ pub fn run(config: &PlanCutConfig) -> Table {
                     wirecut::planner::PlanBackend::Contracted => 1.0,
                     wirecut::planner::PlanBackend::Monolithic => 0.0,
                 },
-                prefix_hit_rate: {
-                    let touched = backend.prefix_hits + backend.prefix_rebuilds;
-                    if touched == 0 {
-                        0.0
-                    } else {
-                        backend.prefix_hits as f64 / touched as f64
-                    }
-                },
-                frontier_savings: if backend.frontier_ops == 0 {
-                    1.0
-                } else {
-                    backend.frontier_ops_uncached as f64 / backend.frontier_ops as f64
-                },
+                prefix_hit_rate: backend.prefix_hit_rate(),
+                frontier_savings: backend.frontier_savings(),
             }
         });
     for (fi, &f) in config.overlaps.iter().enumerate() {

@@ -26,9 +26,9 @@
 //! (writes `results/service_load.csv`).
 
 use crate::csvout::Table;
-use crate::grid::keyed_stream;
 use crate::plan_cut::tractable_random_circuit;
 use crate::stats::RunningStats;
+use qsample::grid::keyed_stream;
 use qsample::KeyHasher;
 use qsim::PauliString;
 use wirecut::planner::CutPlanner;
@@ -170,13 +170,14 @@ pub fn run(config: &ServiceLoadConfig) -> Table {
         let block = &outcomes[c * per_circuit..(c + 1) * per_circuit];
         let exact = block[0].exact;
         let kappa = block[0].kappa;
-        // Cut count from κ is ambiguous; recover it from the plan report
-        // the service cached — cheapest via a fresh key lookup.
+        // Cut count and backend counters are plan-level: read them off
+        // the plan the service cached, via a fresh key lookup.
         let (plan, _, _) = service.compiled(
             &jobs[c * per_circuit].circuit,
             &jobs[c * per_circuit].observable,
         );
         let cuts = plan.report().num_cuts as f64;
+        let backend = plan.backend_report();
         let mut stat_est = RunningStats::new();
         let mut seq_est = RunningStats::new();
         let mut stat_err = RunningStats::new();
@@ -201,25 +202,13 @@ pub fn run(config: &ServiceLoadConfig) -> Table {
             seq_err.mean(),
             qv,
             if sv > 0.0 { qv / sv } else { 1.0 },
-            match block[0].backend {
+            match plan.backend() {
                 wirecut::planner::PlanBackend::Contracted => 1.0,
                 wirecut::planner::PlanBackend::Monolithic => 0.0,
             },
-            block[0].compiled_units as f64,
-            {
-                let rebuilds = plan.backend_report().prefix_rebuilds;
-                let touched = block[0].prefix_hits + rebuilds;
-                if touched == 0 {
-                    0.0
-                } else {
-                    block[0].prefix_hits as f64 / touched as f64
-                }
-            },
-            if block[0].frontier_ops == 0 {
-                1.0
-            } else {
-                block[0].frontier_ops_uncached as f64 / block[0].frontier_ops as f64
-            },
+            backend.terms as f64,
+            backend.prefix_hit_rate(),
+            backend.frontier_savings(),
         ]);
     }
     t

@@ -346,9 +346,9 @@ mod tests {
         // A κ = 3 Harada-style fixture: +0.3 +0.5 −0.36 = 0.44.
         let spec = QpdSpec::from_parts(&[(1.0, "a", 0.0), (1.0, "b", 0.0), (-1.0, "c", 0.0)]);
         let terms = [
-            BernoulliTerm { expectation: 0.3 },
-            BernoulliTerm { expectation: 0.5 },
-            BernoulliTerm { expectation: 0.36 },
+            BernoulliTerm::new(0.3),
+            BernoulliTerm::new(0.5),
+            BernoulliTerm::new(0.36),
         ];
         let refs: Vec<&dyn TermSampler> = terms.iter().map(|t| t as &dyn TermSampler).collect();
         let exact_terms = [0.3, 0.5, 0.36];

@@ -12,10 +12,10 @@
 //!   tree walks).
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::RunningStats;
 use entangle::werner;
 use qpd::{estimate_allocated, Allocator};
+use qsample::grid::ShardedGrid;
 use qsim::{haar_unitary, Pauli};
 use wirecut::mixed::{inversion_kappa, optimal_gamma_bell_diagonal, BellDiagonalCut};
 use wirecut::PreparedCut;

@@ -29,7 +29,7 @@
 //!   band (≈ 1 at 5σ).
 //!
 //! The whole `(p, state)` grid is sharded by
-//! [`crate::grid::ShardedGrid`]; Haar states ride a state-keyed stream
+//! [`qsample::grid::ShardedGrid`]; Haar states ride a state-keyed stream
 //! so every `p` measures the same states (paired design), and the CSV is
 //! byte-identical for any thread count.
 //!
@@ -37,10 +37,10 @@
 //! (writes `results/werner_sweep.csv`).
 
 use crate::csvout::Table;
-use crate::grid::ShardedGrid;
 use crate::stats::{measure_overhead_cell, OverheadMeasurement, RunningStats};
 use entangle::werner;
 use qpd::TermSampler;
+use qsample::grid::ShardedGrid;
 use qsim::{haar_unitary, Pauli};
 use wirecut::mixed::{inversion_kappa, optimal_gamma_bell_diagonal, BellDiagonalCut};
 

@@ -509,9 +509,9 @@ mod tests {
         use qsample::StreamRng;
         let spec = QpdSpec::from_parts(&[(1.0, "a", 0.0), (1.0, "b", 0.0), (-1.0, "c", 0.0)]);
         let terms = [
-            BernoulliTerm { expectation: 0.99 }, // σ ≈ 0.14
-            BernoulliTerm { expectation: 0.0 },  // σ = 1
-            BernoulliTerm { expectation: 0.3 },  // σ ≈ 0.95
+            BernoulliTerm::new(0.99), // σ ≈ 0.14
+            BernoulliTerm::new(0.0),  // σ = 1
+            BernoulliTerm::new(0.3),  // σ ≈ 0.95
         ];
         let refs: Vec<&dyn TermSampler> = terms.iter().map(|t| t as &dyn TermSampler).collect();
         let exact = 0.99 + 0.0 - 0.3;

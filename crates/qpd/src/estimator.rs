@@ -17,6 +17,7 @@
 
 use crate::allocator::Allocator;
 use crate::spec::QpdSpec;
+use qsample::Binomial;
 use rand::Rng;
 
 /// One executable QPD term: draws single-shot observable samples (±1 for
@@ -232,13 +233,33 @@ pub fn proportional_sweep<R: Rng>(
     estimates
 }
 
-/// A trivial term sampler with a fixed exact value, sampling ±1 with the
-/// matching bias — useful for tests and as a reference model of a
+/// A ±1 term fixed by its exact value `e`: every draw is `+1` with
+/// probability `(1 + e)/2`. That is the whole law of a ±1 observable, so
+/// one of these stands in for any term whose exact value is known — a
+/// compiled cut-plan term, a calibrated closed-form term, or a
 /// single-qubit Z measurement.
+///
+/// The batched law `B(·, (1 + e)/2)` is prepared once, at construction,
+/// so a batched draw recomputes none of its `p`-only constants and reads
+/// the same RNG words as `qsample::binomial` at that `p`.
 #[derive(Clone, Copy, Debug)]
 pub struct BernoulliTerm {
-    /// The exact expectation in `[-1, 1]`.
-    pub expectation: f64,
+    expectation: f64,
+    law: Binomial,
+}
+
+impl BernoulliTerm {
+    /// The term with exact expectation `expectation` (in `[-1, 1]`; the
+    /// batched law clamps `(1 + e)/2` into `[0, 1]`).
+    ///
+    /// # Panics
+    /// Panics if `expectation` is NaN.
+    pub fn new(expectation: f64) -> Self {
+        BernoulliTerm {
+            expectation,
+            law: Binomial::new(((1.0 + expectation) / 2.0).clamp(0.0, 1.0)),
+        }
+    }
 }
 
 impl TermSampler for BernoulliTerm {
@@ -252,8 +273,7 @@ impl TermSampler for BernoulliTerm {
     }
 
     fn sample_observable_sum(&self, shots: u64, rng: &mut dyn rand::RngCore) -> f64 {
-        let p_plus = ((1.0 + self.expectation) / 2.0).clamp(0.0, 1.0);
-        let plus = qsample::binomial(shots, p_plus, rng);
+        let plus = self.law.sample(shots, rng);
         // `plus` outcomes of +1, the rest −1.
         2.0 * plus as f64 - shots as f64
     }
@@ -266,6 +286,7 @@ impl TermSampler for BernoulliTerm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -274,9 +295,9 @@ mod tests {
     fn fixture() -> (QpdSpec, Vec<BernoulliTerm>) {
         let spec = QpdSpec::from_parts(&[(1.0, "a", 0.0), (1.0, "b", 0.0), (-1.0, "c", 0.0)]);
         let terms = vec![
-            BernoulliTerm { expectation: 0.3 },
-            BernoulliTerm { expectation: 0.5 },
-            BernoulliTerm { expectation: 0.36 },
+            BernoulliTerm::new(0.3),
+            BernoulliTerm::new(0.5),
+            BernoulliTerm::new(0.36),
         ];
         (spec, terms)
     }
@@ -315,7 +336,7 @@ mod tests {
         let (spec, terms) = fixture();
         let refs = dyn_terms(&terms);
         let direct_spec = QpdSpec::from_parts(&[(1.0, "direct", 0.0)]);
-        let direct_term = BernoulliTerm { expectation: 0.44 };
+        let direct_term = BernoulliTerm::new(0.44);
         let direct_refs: Vec<&dyn TermSampler> = vec![&direct_term];
         let mut rng = StdRng::seed_from_u64(7);
         let reps = 400;
@@ -505,7 +526,7 @@ mod tests {
                 self.0.exact_expectation()
             }
         }
-        let term = BernoulliTerm { expectation: 0.37 };
+        let term = BernoulliTerm::new(0.37);
         let slow = PerShotOnly(term);
         let shots = 400u64;
         let reps = 4000;
@@ -551,9 +572,53 @@ mod tests {
         assert!((mean - 0.44).abs() < 0.06, "mean {mean}");
     }
 
+    /// The per-call path `BernoulliTerm::sample_observable_sum` took
+    /// before the term prepared its law at construction, kept verbatim
+    /// as the oracle.
+    fn per_call_sum(e: f64, shots: u64, rng: &mut dyn rand::RngCore) -> f64 {
+        let p_plus = ((1.0 + e) / 2.0).clamp(0.0, 1.0);
+        let plus = qsample::binomial(shots, p_plus, rng);
+        2.0 * plus as f64 - shots as f64
+    }
+
+    /// Expectations worth naming: both ends, the fixtures' values and
+    /// zero, where the prepared law sits at the mirror point `p = ½`.
+    const NAMED_ES: [f64; 5] = [-1.0, -0.6, 0.0, 0.37, 1.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A prepared term draws the per-call oracle's sums and leaves
+        /// the RNG where the oracle leaves it, batch after batch, on
+        /// both sides of the BINV/BTPE switch.
+        #[test]
+        fn prepared_term_matches_the_per_call_binomial(
+            e in prop_oneof![
+                -1.0f64..1.0,
+                (0..NAMED_ES.len()).prop_map(|i| NAMED_ES[i]),
+            ],
+            batches in proptest::collection::vec(prop_oneof![0u64..41, 0u64..1_000_001], 1..16),
+            stream in 0u64..1 << 40,
+        ) {
+            let term = BernoulliTerm::new(e);
+            let mut expected = qsample::StreamRng::new(0xBE27, stream);
+            let mut prepared = expected.clone();
+            for &n in &batches {
+                let oracle = per_call_sum(e, n, &mut expected);
+                prop_assert_eq!(
+                    term.sample_observable_sum(n, &mut prepared).to_bits(),
+                    oracle.to_bits(),
+                    "e = {}, n = {}", e, n
+                );
+                prop_assert_eq!(prepared.position(), expected.position());
+            }
+            prop_assert_eq!(term.exact_expectation().to_bits(), e.to_bits());
+        }
+    }
+
     #[test]
     fn bernoulli_term_sampling_is_calibrated() {
-        let t = BernoulliTerm { expectation: -0.6 };
+        let t = BernoulliTerm::new(-0.6);
         let mut rng = StdRng::seed_from_u64(9);
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| t.sample_observable(&mut rng)).sum::<f64>() / n as f64;

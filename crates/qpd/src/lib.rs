@@ -8,7 +8,9 @@
 //!
 //! The crate is deliberately agnostic of *what* the terms are: executable
 //! terms implement [`TermSampler`] (in this workspace, compiled wire-cut
-//! subcircuits from the `wirecut` crate).
+//! subcircuits from the `wirecut` crate). A term whose exact value is
+//! known needs nothing more than [`BernoulliTerm`], the ±1 law that
+//! value fixes; every compiled cut plan's terms are `BernoulliTerm`s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -736,6 +736,28 @@ impl CompiledSampler {
             .sum()
     }
 
+    /// Exact expectation of the Z-parity observable on the qubits set in
+    /// `z_mask` (bit `q` ⇒ Z on qubit `q`) over the full branch
+    /// distribution: per leaf, the signed sum of its basis
+    /// probabilities, weighted by the leaf probability.
+    pub fn exact_expval_parity(&self, z_mask: usize) -> f64 {
+        self.leaves
+            .iter()
+            .map(|l| {
+                let mut acc = 0.0;
+                for (idx, p) in l.state.probabilities().iter().enumerate() {
+                    let sign = if (idx & z_mask).count_ones().is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    acc += sign * p;
+                }
+                l.probability * acc
+            })
+            .sum()
+    }
+
     /// One single-shot estimate of Z on `qubit`: draw a branch, then a
     /// terminal measurement outcome; returns ±1.
     pub fn sample_z<R: Rng + ?Sized>(&self, qubit: usize, rng: &mut R) -> f64 {
@@ -1144,6 +1166,89 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The parity loop the planner and the multi-cut terms each ran
+    /// inline before [`CompiledSampler::exact_expval_parity`], kept
+    /// verbatim as its oracle.
+    fn parity_oracle(sampler: &CompiledSampler, z_mask: usize) -> f64 {
+        sampler
+            .leaves()
+            .iter()
+            .map(|l| {
+                let mut acc = 0.0;
+                for (idx, p) in l.state.probabilities().iter().enumerate() {
+                    let sign = if (idx & z_mask).count_ones().is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    acc += sign * p;
+                }
+                l.probability * acc
+            })
+            .sum()
+    }
+
+    /// A random circuit that branches: a Clifford head long enough for
+    /// the tableau path, then Haar gates mixed with mid-circuit
+    /// measurements, resets and gates conditioned on measured bits.
+    fn random_branching_circuit(n: usize, rng: &mut StdRng) -> Circuit {
+        let mut c = Circuit::new(n, 3);
+        for _ in 0..rng.gen_range(0..6) {
+            let q = rng.gen_range(0..n);
+            c.h(q).cx(q, (q + 1) % n);
+        }
+        for _ in 0..14 {
+            let q = rng.gen_range(0..n);
+            let bit = rng.gen_range(0..3);
+            match rng.gen_range(0..6) {
+                0 => {
+                    c.unitary(crate::random::haar_unitary(2, rng), &[q]);
+                }
+                1 => {
+                    c.unitary(crate::random::haar_unitary(4, rng), &[q, (q + 1) % n]);
+                }
+                2 | 3 => {
+                    c.measure(q, bit);
+                }
+                4 => {
+                    let theta = 6.0 * rng.gen::<f64>() - 3.0;
+                    c.gate_if(Gate::Ry(theta), &[q], bit, rng.gen::<f64>() < 0.5);
+                }
+                _ => {
+                    c.reset(q);
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn exact_parity_matches_the_leaf_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut branched = 0;
+        for _ in 0..48 {
+            let n = rng.gen_range(2..5);
+            let c = random_branching_circuit(n, &mut rng);
+            let sampler = CompiledSampler::compile(&c, None);
+            if sampler.leaves().len() > 1 {
+                branched += 1;
+            }
+            for z_mask in 0..1usize << n {
+                assert_eq!(
+                    sampler.exact_expval_parity(z_mask).to_bits(),
+                    parity_oracle(&sampler, z_mask).to_bits(),
+                    "mask {z_mask:#b} on {c:?}"
+                );
+            }
+            // One Z is the single-qubit expectation.
+            for q in 0..n {
+                let single = sampler.exact_expval_parity(1 << q);
+                assert!((single - sampler.exact_expval_z(q)).abs() < 1e-12);
+            }
+        }
+        assert!(branched >= 24, "only {branched} of 48 circuits branched");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use nme_wire_cutting::experiments::service_load::{build_jobs, ServiceLoadConfig}
 use nme_wire_cutting::qpd::{Allocator, SequentialAllocator};
 use nme_wire_cutting::qsample::{KeyHasher, StreamRng};
 use nme_wire_cutting::qsim::{Circuit, PauliString};
-use nme_wire_cutting::wirecut::planner::CutPlanner;
+use nme_wire_cutting::wirecut::planner::{CutPlanner, PlanBackend};
 use nme_wire_cutting::wirecut::service::{
     AllocationMode, BatchUpdate, CutService, EstimationJob, JobOutcome,
 };
@@ -382,6 +382,21 @@ fn six_cut_ladder() -> Circuit {
     c
 }
 
+/// The plans the contraction does not cover, each with the planner that
+/// plans it so: a clbit shared between fragments (cross-fragment
+/// feed-forward) at width 2, and a 3-qubit ladder with nothing to cut
+/// at width 3.
+fn fallback_requests() -> [(CutPlanner, Circuit, PauliString); 2] {
+    let mut ff = Circuit::new(3, 1);
+    ff.ry(0.4, 0).cx(0, 1).measure(1, 0).cx(1, 2).x_if(2, 0);
+    let mut uncut = Circuit::new(3, 0);
+    uncut.ry(0.4, 0).cx(0, 1).cx(1, 2);
+    [
+        (CutPlanner::new(2), ff, PauliString::from_label("ZZI")),
+        (CutPlanner::new(3), uncut, PauliString::from_label("ZZZ")),
+    ]
+}
+
 #[test]
 fn run_job_follows_the_lane_law_bit_for_bit() {
     // A cold 6-cut ladder, its budget above and below the term count,
@@ -399,6 +414,23 @@ fn run_job_follows_the_lane_law_bit_for_bit() {
             assert_eq!(out.allocation.len(), 729);
             assert_eq!(out.allocation.iter().sum::<u64>(), shots);
             assert_follows_the_lane_law(&svc, &job, &out);
+        }
+    }
+    // Monolithic fallback plans draw from the same law on the same lanes.
+    for (planner, circuit, observable) in fallback_requests() {
+        let svc = CutService::new(planner);
+        for mode in MODES {
+            for (shots, batches) in [(5000, 3), (10, 1000)] {
+                svc.clear_cache();
+                let job = EstimationJob::new(circuit.clone(), observable.clone(), shots, 0x1A9E)
+                    .with_batches(batches)
+                    .with_mode(mode);
+                let out = svc.run_job(&job);
+                assert!(!out.cache_hit);
+                let (plan, _, _) = svc.compiled(&job.circuit, &job.observable);
+                assert_eq!(plan.backend(), PlanBackend::Monolithic);
+                assert_follows_the_lane_law(&svc, &job, &out);
+            }
         }
     }
     // Warm E18 plans: the service-load fleet's first circuit, served

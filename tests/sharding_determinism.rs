@@ -6,9 +6,10 @@
 //! non-overlapping with statistically sound pooled output.
 
 use nme_wire_cutting::experiments::{
-    allocation, distill_cut, fig6, grid::GridKey, grid::ShardedGrid, joint_cut, joint_scaling,
-    multicut, noise, overhead, parallel_map_indexed, plan_cut, service_load, werner, werner_sweep,
+    allocation, distill_cut, fig6, joint_cut, joint_scaling, multicut, noise, overhead, plan_cut,
+    service_load, werner, werner_sweep,
 };
+use nme_wire_cutting::qsample::grid::{GridKey, ShardedGrid};
 use nme_wire_cutting::qsample::{stream_block, StreamRng};
 use proptest::prelude::*;
 use rand::RngCore;
@@ -252,12 +253,6 @@ fn grid_order_survives_reverse_completion_jitter() {
         c
     });
     assert_eq!(out, (0..n as u64).collect::<Vec<_>>());
-    // Same property for the item-level primitive.
-    let out = parallel_map_indexed(n, 8, |i| {
-        std::thread::sleep(std::time::Duration::from_micros(300 * (n - i) as u64));
-        i
-    });
-    assert_eq!(out, (0..n).collect::<Vec<_>>());
 }
 
 // ---------------------------------------------------------------------
@@ -335,7 +330,7 @@ fn pooled_shard_draws_pass_chi_square() {
     let mut total = 0u64;
     for &p in &sweep.p_grid() {
         for s in 0..sweep.num_states as u64 {
-            let mut rng = nme_wire_cutting::experiments::keyed_stream(sweep.seed, &(p, s));
+            let mut rng = nme_wire_cutting::qsample::grid::keyed_stream(sweep.seed, &(p, s));
             for _ in 0..256 {
                 hist[(rng.next_u64() >> 56) as usize] += 1;
                 total += 1;
