@@ -58,13 +58,24 @@ fn plan_cache(c: &mut Criterion) {
 /// The layers a warm job pays before sampling, on the first E18 circuit:
 /// `PlanKey` hashing alone and a cache hit through `compiled` (which
 /// finds the plan by its exact key words, not by the key); then one whole
-/// warm E18 fleet (192 jobs) through `run_jobs` at one thread.
+/// warm E18 fleet (192 jobs) through `run_jobs` at one thread, twice. In
+/// submission order nearly every job repeats the request before it, so
+/// the worker reuses that job's plan without a lookup; interleaved, no two
+/// neighbours share a request, so every job pays the lookup.
 fn lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_service/lookup");
     let config = ServiceLoadConfig::default();
     let planner = CutPlanner::new(config.width_budget).with_overlap(config.overlap);
     let jobs = build_jobs(&config);
     let job = &jobs[0];
+    // build_jobs lays each circuit's jobs out as one contiguous block.
+    let per_circuit = jobs.len() / config.num_circuits;
+    let interleaved: Vec<EstimationJob> = (0..per_circuit)
+        .flat_map(|k| jobs.iter().skip(k).step_by(per_circuit))
+        .cloned()
+        .collect();
+    assert_eq!(interleaved.len(), jobs.len());
+    assert!(interleaved.windows(2).all(|w| w[0].circuit != w[1].circuit));
     let service = CutService::new(planner);
     service.run_jobs(&jobs, 1); // pre-warm the plan cache
     group.bench_function("plan_key", |b| {
@@ -76,6 +87,9 @@ fn lookup(c: &mut Criterion) {
     group.throughput(Throughput::Elements(jobs.len() as u64));
     group.bench_function("warm_fleet_1_thread", |b| {
         b.iter(|| service.run_jobs(&jobs, 1));
+    });
+    group.bench_function("warm_fleet_interleaved_1_thread", |b| {
+        b.iter(|| service.run_jobs(&interleaved, 1));
     });
     group.finish();
 }

@@ -1437,6 +1437,79 @@ mod tests {
         c
     }
 
+    /// Instruction lists for [`sampled_circuit`]: every kind, angles
+    /// that include zeros of both signs, and all three conditions.
+    fn sampled_ops() -> impl Strategy<Value = Vec<SampledOp>> {
+        proptest::collection::vec(
+            (
+                0usize..26,
+                0usize..6,
+                (
+                    prop_oneof![Just(0.0), Just(-0.0), -3.2f64..3.2],
+                    -3.2f64..3.2,
+                    prop_oneof![Just(-0.0), -3.2f64..3.2],
+                ),
+                0usize..3,
+            ),
+            0..24,
+        )
+    }
+
+    /// Observable letters for [`sampled_observable`].
+    fn sampled_paulis() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(0usize..4, 1..7)
+    }
+
+    /// The observable spelled by `paulis` (0–3 for I, X, Y, Z).
+    fn sampled_observable(paulis: &[usize]) -> PauliString {
+        use qsim::Pauli;
+        PauliString::new(
+            paulis
+                .iter()
+                .map(|&p| [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][p])
+                .collect(),
+        )
+    }
+
+    /// The first `f64` an instruction's key words carry: its gate's
+    /// first angle, or the real part of its matrix's first element.
+    fn first_param(instr: &mut Instruction) -> Option<&mut f64> {
+        use qsim::Gate::*;
+        match &mut instr.op {
+            Op::Gate(Rx(t) | Ry(t) | Rz(t) | Phase(t) | CPhase(t) | U(t, _, _), _) => Some(t),
+            Op::Gate(Unitary1(m) | Unitary2(m) | Unitary(m), _) => {
+                Some(&mut m.as_mut_slice()[0].re)
+            }
+            _ => None,
+        }
+    }
+
+    /// The operand of a single-qubit instruction.
+    fn lone_qubit(instr: &mut Instruction) -> Option<&mut usize> {
+        match &mut instr.op {
+            Op::Gate(_, qubits) if qubits.len() == 1 => qubits.first_mut(),
+            Op::Measure { qubit, .. } | Op::Reset(qubit) => Some(qubit),
+            _ => None,
+        }
+    }
+
+    /// `circuit` with its first instruction that `edit` accepts (returns
+    /// `true` for) edited; `None` if `edit` accepts none.
+    fn edit_first(
+        circuit: &Circuit,
+        mut edit: impl FnMut(&mut Instruction) -> bool,
+    ) -> Option<Circuit> {
+        let mut instructions = circuit.instructions().to_vec();
+        if !instructions.iter_mut().any(&mut edit) {
+            return None;
+        }
+        let mut c = Circuit::new(circuit.num_qubits(), circuit.num_clbits());
+        for instr in instructions {
+            c.push(instr);
+        }
+        Some(c)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1444,28 +1517,13 @@ mod tests {
         fn plan_words_hash_to_plan_key(
             num_qubits in 3usize..6,
             num_clbits in 1usize..3,
-            ops in proptest::collection::vec(
-                (
-                    0usize..26,
-                    0usize..6,
-                    (
-                        prop_oneof![Just(0.0), Just(-0.0), -3.2f64..3.2],
-                        -3.2f64..3.2,
-                        prop_oneof![Just(-0.0), -3.2f64..3.2],
-                    ),
-                    0usize..3,
-                ),
-                0..24,
-            ),
-            paulis in proptest::collection::vec(0usize..4, 1..7),
+            ops in sampled_ops(),
+            paulis in sampled_paulis(),
             width in 1usize..5,
             overlap in prop_oneof![Just(0.5), Just(1.0), 0.5f64..1.0],
         ) {
-            use qsim::Pauli;
             let circuit = sampled_circuit(num_qubits, num_clbits, &ops);
-            let observable = PauliString::new(
-                paulis.iter().map(|&p| [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z][p]).collect(),
-            );
+            let observable = sampled_observable(&paulis);
             let planner = CutPlanner::new(width).with_overlap(overlap);
             let words = planner.plan_words(&circuit, &observable);
             prop_assert_eq!(PlanKey::of_words(&words), planner.plan_key(&circuit, &observable));
@@ -1474,6 +1532,56 @@ mod tests {
             if ops.iter().all(|op| op.0 != 22) {
                 let sized = 6 + observable.num_qubits() + MAX_INSTRUCTION_WORDS * circuit.len();
                 prop_assert_eq!(words.capacity(), sized);
+            }
+        }
+
+        #[test]
+        fn equal_requests_have_equal_plan_words(
+            num_qubits in 3usize..6,
+            num_clbits in 1usize..3,
+            ops in sampled_ops(),
+            paulis in sampled_paulis(),
+        ) {
+            // `run_jobs` serves a job its predecessor's plan when their
+            // `(circuit, observable)` compare equal, so `==` must imply
+            // equal key words; every perturbation but a ±0.0 swap must
+            // break both.
+            let planner = CutPlanner::new(2);
+            let circuit = sampled_circuit(num_qubits, num_clbits, &ops);
+            let observable = sampled_observable(&paulis);
+            let request = |c: Circuit| (c, observable.clone());
+            let base = request(circuit.clone());
+            // (a, b, whether a == b must hold)
+            let mut pairs = vec![(base.clone(), base.clone(), true)];
+            let set = |f: fn(f64) -> f64| {
+                edit_first(&circuit, |i| first_param(i).map(|x| *x = f(*x)).is_some())
+            };
+            let next_ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+            let zeros = (set(|_| 0.0), set(|_| -0.0));
+            if let (Some(bumped), (Some(plus), Some(minus))) = (set(next_ulp), zeros) {
+                pairs.push((base.clone(), request(bumped), false));
+                pairs.push((request(plus), request(minus), true));
+            }
+            let moved = edit_first(&circuit, |i| {
+                lone_qubit(i).map(|q| *q = (*q + 1) % num_qubits).is_some()
+            });
+            let toggled = edit_first(&circuit, |i| {
+                i.condition = Some(match i.condition {
+                    Some(c) => qsim::Condition { value: !c.value, ..c },
+                    None => qsim::Condition { bit: 0, value: true },
+                });
+                true
+            });
+            for c in [moved, toggled].into_iter().flatten() {
+                pairs.push((base.clone(), request(c), false));
+            }
+            let mut letters = paulis.clone();
+            letters[0] = (letters[0] + 1) % 4;
+            pairs.push((base.clone(), (circuit.clone(), sampled_observable(&letters)), false));
+            for (a, b, equal) in &pairs {
+                let words = |r: &(Circuit, PauliString)| planner.plan_words(&r.0, &r.1);
+                prop_assert_eq!(a == b, *equal);
+                prop_assert_eq!(words(a) == words(b), *equal);
             }
         }
     }

@@ -22,7 +22,11 @@
 //!   and stored with it. Compilation happens outside the shard lock;
 //!   when two clients race on the same cold request, both compile (the
 //!   plans are identical — compilation is deterministic) and the first
-//!   insert wins, so the cache never blocks sampling.
+//!   insert wins, so the cache never blocks sampling. Inside a
+//!   [`CutService::run_jobs`] fleet, a job whose `(circuit, observable)`
+//!   compares equal to its worker's previous job reuses that job's plan
+//!   and key without a lookup: equal requests have equal key words, so
+//!   it is the plan the lookup would return. It counts as a hit.
 //! * **Batched execution with streaming partials** — a job's budget is
 //!   spent in batches; after each batch the pooled estimate so far is
 //!   streamed to the caller ([`BatchUpdate`], via the callback of
@@ -36,7 +40,11 @@
 //!   uniform splits remain available for ablation.
 //! * **Work-stealing fan-out** — [`CutService::run_jobs`] schedules many
 //!   jobs by fleet index on the [`qsample::grid::ShardedGrid`] pool, the
-//!   same engine behind every experiment sweep.
+//!   same engine behind every experiment sweep. Each worker keeps its
+//!   previous job's request, plan and key as per-worker grid state
+//!   ([`ShardedGrid::run_with`]), so a run of equal requests pays one
+//!   cache lookup. A plan the fleet holds this way outlives
+//!   [`CutService::clear_cache`] until the fleet returns.
 //!
 //! ## Determinism contract
 //!
@@ -51,13 +59,15 @@
 //! ```
 //!
 //! Nothing about scheduling (thread ids, completion order, cache
-//! hit/miss history) enters the stream address, and neither does the
-//! cache's keyed digest, which differs per service instance. Cache
-//! **statistics** ([`CutService::cache_stats`]) are the one deliberately racy
-//! observable — two concurrent cold requests for one key may both count
-//! a miss — so they are reported out-of-band and never mixed into
-//! deterministic outputs. `tests/service_determinism.rs` pins the whole
-//! contract.
+//! hit/miss history, which job a worker served before) enters the stream
+//! address, and neither does the cache's keyed digest, which differs per
+//! service instance. A fleet worker's reuse of its previous job's plan
+//! changes no bit either: it serves the plan and key a lookup would.
+//! Cache **statistics** ([`CutService::cache_stats`]) are the one
+//! deliberately racy observable — two concurrent cold requests for one
+//! key may both count a miss — so they are reported out-of-band and
+//! never mixed into deterministic outputs. `tests/service_determinism.rs`
+//! pins the whole contract.
 
 use crate::planner::{CompiledPlan, CutPlanner, PlanKey};
 use parking_lot::Mutex;
@@ -162,10 +172,11 @@ pub struct JobOutcome {
     pub shots: u64,
     /// Content hash the plan was cached under.
     pub plan_key: PlanKey,
-    /// Whether the compiled plan came out of the cache. Diagnostic only:
-    /// under concurrency a cold key may be compiled by several clients
-    /// at once, so this flag is **not** part of the deterministic
-    /// output.
+    /// Whether the compiled plan came out of the cache, or, in a
+    /// [`CutService::run_jobs`] fleet, was reused from the worker's
+    /// previous job. Diagnostic only: under concurrency a cold key may be
+    /// compiled by several clients at once, so this flag is **not** part
+    /// of the deterministic output.
     pub cache_hit: bool,
     /// The streamed per-batch partials, in batch order.
     pub updates: Vec<BatchUpdate>,
@@ -293,8 +304,11 @@ impl CutService {
         (cached.plan.clone(), cached.key, false)
     }
 
-    /// `(hits, misses)` so far. Racy by design (see the module docs) —
-    /// never fold these into deterministic outputs.
+    /// `(hits, misses)` so far: one per job, whether it ran alone or in a
+    /// [`run_jobs`](Self::run_jobs) fleet (a fleet job that reuses its
+    /// worker's previous plan counts as a hit), plus one per direct
+    /// [`compiled`](Self::compiled) call. Racy by design (see the module
+    /// docs) — never fold these into deterministic outputs.
     pub fn cache_stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -311,7 +325,8 @@ impl CutService {
     }
 
     /// Drops every cached plan (the determinism contract makes this
-    /// invisible to job results).
+    /// invisible to job results). A [`run_jobs`](Self::run_jobs) fleet
+    /// in flight keeps the plans its workers hold until it returns.
     pub fn clear_cache(&self) {
         for shard in &self.shards {
             shard.lock().clear();
@@ -330,82 +345,124 @@ impl CutService {
     pub fn run_job_with<F: FnMut(&BatchUpdate)>(
         &self,
         job: &EstimationJob,
-        mut on_batch: F,
+        on_batch: F,
     ) -> JobOutcome {
         assert!(job.batches >= 1, "a job needs at least one batch");
         let (plan, key, cache_hit) = self.compiled(&job.circuit, &job.observable);
-        let terms = plan.plan_terms();
-        let num_terms = plan.spec.len();
-        let mut seq = SequentialAllocator::new(num_terms);
-        // At most one update per shot: a job with far more batches than
-        // shots must not reserve (or walk) one slot per empty batch.
-        let mut updates = Vec::with_capacity(job.batches.min(job.shots) as usize);
-        let per_batch = job.shots / job.batches;
-        // With fewer shots than batches every batch but the last is
-        // empty, so start there; batch indices (and lanes) are unchanged.
-        let first = if job.shots < job.batches {
-            job.batches - 1
-        } else {
-            0
-        };
-        let root = StreamRng::new(job.seed, key.0);
-        for batch in first..job.batches {
-            let budget = if batch + 1 == job.batches {
-                job.shots - per_batch * (job.batches - 1)
-            } else {
-                per_batch
-            };
-            if budget == 0 {
-                continue;
-            }
-            let allocation = match job.mode {
-                AllocationMode::StaticProportional => {
-                    Allocator::Proportional.allocate(&plan.spec, budget)
-                }
-                AllocationMode::StaticUniform => Allocator::Uniform.allocate(&plan.spec, budget),
-                AllocationMode::Sequential => seq.next_allocation(&plan.spec, budget),
-            };
-            for (term, &n) in allocation.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                // The whole determinism contract in one line: the lane is
-                // addressed by content (seed, plan key, batch, term) and
-                // nothing else. `root` only saves recomputing the seed's
-                // round keys per lane.
-                let mut lane = root.derive(&[batch, term as u64]);
-                seq.record(term, terms[term].sample_observable_sum(n, &mut lane), n);
-            }
-            let update = BatchUpdate {
-                batch,
-                shots_used: budget,
-                estimate: seq.estimate(&plan.spec),
-            };
-            on_batch(&update);
-            updates.push(update);
-        }
-        JobOutcome {
-            estimate: updates.last().map_or(0.0, |u| u.estimate),
-            exact: plan.exact_value(),
-            kappa: plan.report().kappa,
-            shots: job.shots,
-            plan_key: key,
-            cache_hit,
-            updates,
-            allocation: (0..num_terms).map(|i| seq.count(i)).collect(),
-        }
+        run_compiled(job, &plan, key, cache_hit, on_batch)
     }
 
     /// Runs a fleet of jobs on the work-stealing grid pool
     /// (`threads = 0` ⇒ auto), returning outcomes in submission order.
     /// Each job's result is byte-identical to running it alone through
     /// [`run_job`](Self::run_job).
+    ///
+    /// Each worker remembers the last request it served: a job whose
+    /// `(circuit, observable)` compares equal to its worker's previous
+    /// job reuses that job's plan and key without a cache lookup. Equal
+    /// requests have equal key words, so this is the plan the lookup
+    /// would return. Such a job counts as a cache hit, so
+    /// [`cache_stats`](Self::cache_stats) still counts one hit or miss
+    /// per job, and a plan the fleet holds survives
+    /// [`clear_cache`](Self::clear_cache) until the fleet returns.
     pub fn run_jobs(&self, jobs: &[EstimationJob], threads: usize) -> Vec<JobOutcome> {
         // Scheduled by fleet index: job randomness never flows through
         // the grid's ShardCtx streams (see the module docs).
         ShardedGrid::new((0..jobs.len()).collect(), 0)
             .with_threads(threads)
-            .run(|&index, _ctx| self.run_job(&jobs[index]))
+            .run_with(
+                || None,
+                |last: &mut Option<(&EstimationJob, Arc<CompiledPlan>, PlanKey)>, &index, _ctx| {
+                    let job = &jobs[index];
+                    assert!(job.batches >= 1, "a job needs at least one batch");
+                    if let Some((prev, plan, key)) = last {
+                        // Derived `PartialEq` compares every field the key
+                        // words absorb (−0.0 equals 0.0, which the words
+                        // normalise); a NaN never compares equal, so it
+                        // falls through to the lookup.
+                        if prev.observable == job.observable && prev.circuit == job.circuit {
+                            self.hits.fetch_add(1, Ordering::Relaxed);
+                            return run_compiled(job, plan, *key, true, |_| {});
+                        }
+                    }
+                    let (plan, key, cache_hit) = self.compiled(&job.circuit, &job.observable);
+                    let outcome = run_compiled(job, &plan, key, cache_hit, |_| {});
+                    *last = Some((job, plan, key));
+                    outcome
+                },
+            )
+    }
+}
+
+/// Spends `job`'s budget on `plan`, whose stream id is `key`: the batch
+/// loop behind both [`CutService::run_job_with`] and
+/// [`CutService::run_jobs`].
+fn run_compiled<F: FnMut(&BatchUpdate)>(
+    job: &EstimationJob,
+    plan: &CompiledPlan,
+    key: PlanKey,
+    cache_hit: bool,
+    mut on_batch: F,
+) -> JobOutcome {
+    let terms = plan.plan_terms();
+    let num_terms = plan.spec.len();
+    let mut seq = SequentialAllocator::new(num_terms);
+    // At most one update per shot: a job with far more batches than
+    // shots must not reserve (or walk) one slot per empty batch.
+    let mut updates = Vec::with_capacity(job.batches.min(job.shots) as usize);
+    let per_batch = job.shots / job.batches;
+    // With fewer shots than batches every batch but the last is
+    // empty, so start there; batch indices (and lanes) are unchanged.
+    let first = if job.shots < job.batches {
+        job.batches - 1
+    } else {
+        0
+    };
+    let root = StreamRng::new(job.seed, key.0);
+    for batch in first..job.batches {
+        let budget = if batch + 1 == job.batches {
+            job.shots - per_batch * (job.batches - 1)
+        } else {
+            per_batch
+        };
+        if budget == 0 {
+            continue;
+        }
+        let allocation = match job.mode {
+            AllocationMode::StaticProportional => {
+                Allocator::Proportional.allocate(&plan.spec, budget)
+            }
+            AllocationMode::StaticUniform => Allocator::Uniform.allocate(&plan.spec, budget),
+            AllocationMode::Sequential => seq.next_allocation(&plan.spec, budget),
+        };
+        for (term, &n) in allocation.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            // The whole determinism contract in one line: the lane is
+            // addressed by content (seed, plan key, batch, term) and
+            // nothing else. `root` only saves recomputing the seed's
+            // round keys per lane.
+            let mut lane = root.derive(&[batch, term as u64]);
+            seq.record(term, terms[term].sample_observable_sum(n, &mut lane), n);
+        }
+        let update = BatchUpdate {
+            batch,
+            shots_used: budget,
+            estimate: seq.estimate(&plan.spec),
+        };
+        on_batch(&update);
+        updates.push(update);
+    }
+    JobOutcome {
+        estimate: updates.last().map_or(0.0, |u| u.estimate),
+        exact: plan.exact_value(),
+        kappa: plan.report().kappa,
+        shots: job.shots,
+        plan_key: key,
+        cache_hit,
+        updates,
+        allocation: (0..num_terms).map(|i| seq.count(i)).collect(),
     }
 }
 
@@ -536,6 +593,52 @@ mod tests {
         assert_eq!(outcomes.len(), 7);
         assert_eq!(svc.cache_stats(), (7 - 2, 2));
         assert_eq!(svc.cache_len(), 2);
+    }
+
+    #[test]
+    fn memo_runs_count_one_hit_or_miss_per_job() {
+        // Three requests, four seeds each, grouped (a worker's memo of its
+        // previous request hits inside every run) and interleaved (it
+        // never hits). 1 thread, so no cold race: both orders end at one
+        // miss per request, and a job misses exactly on its request's
+        // first occurrence.
+        let mut other_observable = job(0);
+        other_observable.observable = PauliString::from_label("ZIZ");
+        let mut other_circuit = job(0);
+        other_circuit.circuit.ry(0.5, 1);
+        let requests = [job(0), other_observable, other_circuit];
+        let with_seed = |r: &EstimationJob, seed| EstimationJob { seed, ..r.clone() };
+        let grouped: Vec<EstimationJob> = requests
+            .iter()
+            .flat_map(|r| (0..4).map(move |seed| with_seed(r, seed)))
+            .collect();
+        let interleaved: Vec<EstimationJob> = (0..4)
+            .flat_map(|seed| requests.iter().map(move |r| with_seed(r, seed)))
+            .collect();
+        for fleet in [grouped, interleaved] {
+            let svc = service();
+            let outcomes = svc.run_jobs(&fleet, 1);
+            assert_eq!(svc.cache_stats(), (fleet.len() as u64 - 3, 3));
+            for (i, (job, out)) in fleet.iter().zip(&outcomes).enumerate() {
+                let first = fleet[..i]
+                    .iter()
+                    .all(|j| j.circuit != job.circuit || j.observable != job.observable);
+                assert_eq!(out.cache_hit, !first, "job {i}");
+            }
+        }
+        // A job with no batch inside a memo run still fails with its own
+        // message.
+        let mut fleet: Vec<EstimationJob> = (0..3).map(job).collect();
+        fleet[1].batches = 0;
+        let svc = service();
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.run_jobs(&fleet, 1)))
+                .expect_err("a job with no batch must panic");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("a job needs at least one batch"));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!
 //! ## Panic contract
 //!
-//! A worker panic is never masked: [`ShardedGrid::run`] re-raises the
+//! A worker panic is never masked: [`ShardedGrid::run`] (and
+//! [`ShardedGrid::run_with`], the loop behind it) re-raises the
 //! **original payload** of the first worker that panicked (via the
 //! scoped-thread `Err` path), so an assertion message from inside a
 //! shard reaches the caller verbatim. The "configuration never ran"
@@ -373,6 +374,25 @@ impl<C: GridKey + Sync> ShardedGrid<C> {
         R: Send,
         F: Fn(&C, &mut ShardCtx) -> R + Sync,
     {
+        self.run_with(|| (), |_, config, ctx| f(config, ctx))
+    }
+
+    /// [`run`](Self::run) with per-worker state: each worker builds its
+    /// own `S` with `init()` before it claims a configuration, and passes
+    /// `&mut S` to every `f` call it makes, in increasing grid order. Which
+    /// configurations share a state depends on scheduling, so the results
+    /// stay thread-count invariant only if `f`'s result does not depend on
+    /// what the state holds (a cache, a scratch buffer).
+    ///
+    /// # Panics
+    /// As [`run`](Self::run): a worker panic re-raises its original
+    /// payload.
+    pub fn run_with<S, R, I, F>(&self, init: I, f: F) -> Vec<R>
+    where
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, &C, &mut ShardCtx) -> R + Sync,
+    {
         let n = self.configs.len();
         let threads = self.threads().min(n.max(1));
         let cursor = AtomicUsize::new(0);
@@ -383,6 +403,7 @@ impl<C: GridKey + Sync> ShardedGrid<C> {
                     // Each worker accumulates into its own ShardResult and
                     // merges once at the end, keeping the shared lock cold.
                     let mut local = ShardResult::new(n);
+                    let mut state = init();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
@@ -390,7 +411,7 @@ impl<C: GridKey + Sync> ShardedGrid<C> {
                         }
                         let config = &self.configs[i];
                         let mut ctx = ShardCtx::new(self.seed, config.grid_key());
-                        local.set(i, f(config, &mut ctx));
+                        local.set(i, f(&mut state, config, &mut ctx));
                     }
                     if local.filled() > 0 {
                         merged.lock().merge(local);
@@ -572,6 +593,59 @@ mod tests {
             }
             c
         });
+    }
+
+    #[test]
+    fn run_with_keeps_one_state_per_worker() {
+        // Each state logs the configurations its worker served: every log
+        // must grow strictly, no run may build more states than workers,
+        // and the results must come back in grid order at any thread count.
+        let configs: Vec<usize> = (0..40).collect();
+        let run = |threads: usize| {
+            let built = AtomicUsize::new(0);
+            let out = ShardedGrid::new(configs.clone(), 3)
+                .with_threads(threads)
+                .run_with(
+                    || {
+                        built.fetch_add(1, Ordering::Relaxed);
+                        Vec::new()
+                    },
+                    |served: &mut Vec<usize>, &c, ctx| {
+                        if let Some(&last) = served.last() {
+                            assert!(last < c, "a state saw config {c} after {last}");
+                        }
+                        served.push(c);
+                        (c, ctx.rng().gen::<u64>())
+                    },
+                );
+            let built = built.into_inner();
+            assert!(
+                (1..=threads).contains(&built),
+                "{built} states for {threads} threads"
+            );
+            out
+        };
+        let one = run(1);
+        assert_eq!(one.iter().map(|r| r.0).collect::<Vec<_>>(), configs);
+        for threads in [2, 3, 7] {
+            assert_eq!(one, run(threads), "threads {threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stateful worker failed on config 5")]
+    fn run_with_worker_panic_reaches_caller_with_original_message() {
+        let configs: Vec<u64> = (0..16).collect();
+        ShardedGrid::new(configs, 1).with_threads(4).run_with(
+            || 0u64,
+            |served, &c, _| {
+                *served += 1;
+                if c == 5 {
+                    panic!("stateful worker failed on config {c}");
+                }
+                c
+            },
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! * job results are **byte-identical** for a fixed `(seed, plan)`
 //!   across thread counts ∈ {1, 2, 7} and across cold vs warm plan
-//!   cache, solo or in a fleet;
+//!   cache, solo or in a fleet, whether or not a fleet job repeats the
+//!   request before it (and so reuses that job's plan);
 //! * sequential (variance-adaptive) allocation realises **no more
 //!   estimator variance** than the static proportional split on an
 //!   asymmetric-σ workload at equal total shots;
@@ -87,29 +88,40 @@ fn service() -> CutService {
 
 #[test]
 fn job_results_are_byte_identical_across_threads_and_cache_state() {
-    let jobs = fleet_jobs();
-    // Reference: every job solo on its own cold service.
-    let reference: Vec<_> = jobs.iter().map(|j| service().run_job(j)).collect();
-    // One shared, progressively warming service must reproduce the bits
-    // at every thread count; then once more fully warm.
-    let shared = service();
-    for threads in [1usize, 2, 7] {
-        let fleet = shared.run_jobs(&jobs, threads);
-        for (r, f) in reference.iter().zip(fleet.iter()) {
-            assert_eq!(
-                r.estimate.to_bits(),
-                f.estimate.to_bits(),
-                "estimate differs at {threads} threads"
-            );
-            assert_eq!(r.updates, f.updates, "partials differ at {threads} threads");
-            assert_eq!(r.allocation, f.allocation);
-            assert_eq!(r.plan_key, f.plan_key);
+    // `fleet_jobs()` alternates two circuits, so a `run_jobs` worker never
+    // sees a job repeat the request before it; grouped by circuit, nearly
+    // every job does, and reuses its predecessor's plan.
+    let alternating = fleet_jobs();
+    let grouped: Vec<EstimationJob> = alternating
+        .iter()
+        .step_by(2)
+        .chain(alternating.iter().skip(1).step_by(2))
+        .cloned()
+        .collect();
+    for jobs in [alternating, grouped] {
+        // Reference: every job solo on its own cold service.
+        let reference: Vec<_> = jobs.iter().map(|j| service().run_job(j)).collect();
+        // One shared, progressively warming service must reproduce the bits
+        // at every thread count; then once more fully warm.
+        let shared = service();
+        for threads in [1usize, 2, 7] {
+            let fleet = shared.run_jobs(&jobs, threads);
+            for (r, f) in reference.iter().zip(fleet.iter()) {
+                assert_eq!(
+                    r.estimate.to_bits(),
+                    f.estimate.to_bits(),
+                    "estimate differs at {threads} threads"
+                );
+                assert_eq!(r.updates, f.updates, "partials differ at {threads} threads");
+                assert_eq!(r.allocation, f.allocation);
+                assert_eq!(r.plan_key, f.plan_key);
+            }
         }
+        let (hits, _) = shared.cache_stats();
+        assert!(hits > 0, "warm passes should have hit the cache");
+        // Two distinct plans across the whole fleet.
+        assert_eq!(shared.cache_len(), 2);
     }
-    let (hits, _) = shared.cache_stats();
-    assert!(hits > 0, "warm passes should have hit the cache");
-    // Two distinct plans across the whole fleet.
-    assert_eq!(shared.cache_len(), 2);
 }
 
 #[test]
@@ -299,11 +311,32 @@ fn the_cache_tells_apart_circuits_one_bit_apart() {
     // `-0.0` and `+0.0` name the same plan.
     let svc = service();
     let plus = svc.run_job(&EstimationJob::new(ladder_at(0.0), obs.clone(), 1000, 3));
-    let minus = svc.run_job(&EstimationJob::new(ladder_at(-0.0), obs, 1000, 3));
+    let minus = svc.run_job(&EstimationJob::new(ladder_at(-0.0), obs.clone(), 1000, 3));
     assert!(!plus.cache_hit && minus.cache_hit);
     assert_eq!(svc.cache_len(), 1);
     assert_eq!(plus.plan_key, minus.plan_key);
     assert_eq!(plus.estimate.to_bits(), minus.estimate.to_bits());
+    // Both pairs again as adjacent jobs of one fleet, where a worker
+    // compares each job's request with the one before it.
+    let job = |theta: f64| EstimationJob::new(ladder_at(theta), obs.clone(), 1000, 3);
+    for threads in [1, 2] {
+        let svc = service();
+        let fleet = svc.run_jobs(&[job(theta), job(next)], threads);
+        assert_eq!(svc.cache_len(), 2, "one bit apart at {threads} threads");
+        assert_ne!(fleet[0].plan_key, fleet[1].plan_key);
+        for (out, solo) in fleet.iter().zip([&a, &b]) {
+            assert_eq!(out.plan_key, solo.plan_key);
+            assert_eq!(out.exact.to_bits(), solo.exact.to_bits());
+            assert_eq!(out.estimate.to_bits(), solo.estimate.to_bits());
+        }
+        let svc = service();
+        let fleet = svc.run_jobs(&[job(0.0), job(-0.0)], threads);
+        assert_eq!(svc.cache_len(), 1, "±0.0 at {threads} threads");
+        for out in &fleet {
+            assert_eq!(out.plan_key, plus.plan_key);
+            assert_eq!(out.estimate.to_bits(), plus.estimate.to_bits());
+        }
+    }
 }
 
 /// `run_job`'s batch loop rebuilt from public calls, with the module
