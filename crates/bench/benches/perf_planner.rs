@@ -114,11 +114,7 @@ fn cut_count_scaling(c: &mut Criterion) {
         assert_eq!(plan.num_cuts(), cuts, "ladder plan shape drifted");
         let observable = PauliString::from_label(&"Z".repeat(n));
         group.bench_with_input(BenchmarkId::new("contracted", cuts), &plan, |b, plan| {
-            b.iter(|| {
-                CompiledPlan::compile_contracted(plan, &observable)
-                    .spec
-                    .len()
-            })
+            b.iter(|| CompiledPlan::compile(plan, &observable).spec.len())
         });
         if cuts <= 4 {
             group.bench_with_input(BenchmarkId::new("monolithic", cuts), &plan, |b, plan| {

@@ -1,13 +1,13 @@
-//! **Per-fragment tensor-block compilation** for the cut planner — the
-//! scalable alternative to stitching one monolithic circuit per product
-//! term ([`crate::planner::CompiledPlan`]).
+//! **Per-fragment tensor-block compilation** — the one compile path of
+//! the cut planner ([`crate::planner::CompiledPlan::compile`]).
 //!
 //! Wire cutting's value proposition is that fragments are simulated
-//! *independently* and recombined classically. The monolithic compiler
-//! inverts that: every combination of per-group QPD terms stitches and
-//! simulates its own carrier-threaded circuit, so compilation cost grows
-//! as `Π terms(group)` — intractable past ~4 cuts. This module restores
-//! the fragment-local structure in the Pauli-transfer picture:
+//! *independently* and recombined classically. Stitching one monolithic
+//! circuit per product term inverts that: every combination of
+//! per-group QPD terms stitches and simulates its own carrier-threaded
+//! circuit, so compilation cost grows as `Π terms(group)` — intractable
+//! past ~4 cuts. This module keeps the fragment-local structure in the
+//! Pauli-transfer picture:
 //!
 //! * **Group transfer matrices** — each cut group's term `t` realises a
 //!   channel `C_t` on the cut wires; its Pauli transfer matrix
@@ -36,9 +36,20 @@
 //!   feed-forward** are admitted: the channel `E_F` then branches over
 //!   classical outcomes, and the block entry is the
 //!   outcome-probability-weighted sum over the sampler's branch leaves —
-//!   one sub-block per outcome, folded on the spot. Only a classical bit
-//!   *shared between fragments* breaks fragment independence and forces
-//!   the monolithic fallback ([`contraction_ineligibility`]).
+//!   one sub-block per outcome, folded on the spot. A plan with no cut
+//!   is one term: its fragments' blocks have no cut slots, and the term
+//!   is their contraction ([`FragmentBlocks::term_value`] at `&[]`).
+//! * **Classical axes** — a classical bit that one fragment measures
+//!   (or passes on) and a later fragment reads or re-measures is sent
+//!   over classical communication, which is free in the paper's LOCC
+//!   setting. Each pair of consecutive fragments touching a bit is one
+//!   **classical edge**: a frontier axis with no QPD term, no transfer
+//!   and no κ, keyed after every cut slot. A classical state is diagonal,
+//!   so the axis carries only `I` and `Z`: the source block weighs each
+//!   branch leaf by `1` or `(−1)^bit` (its `X`/`Y` columns are zero),
+//!   and the destination compiles two variants per received bit, bit 0
+//!   and bit 1, preset by measuring an ancilla prepared in `|bit⟩` into
+//!   the bit before the fragment runs (its `X`/`Y` rows stay empty).
 //! * **Prefix-cached frontier contraction** — a product term's exact
 //!   expectation is the frontier contraction `Σ F_dest[a] · R[a, b] ·
 //!   F_src[b]` chained through the fragments in program order. The walk
@@ -58,28 +69,33 @@
 //!   Hit/rebuild and frontier-op counters surface through
 //!   [`crate::planner::BackendReport`].
 //!
-//! Total cost is `Σ_F 6^{in(F)}` fragment simulations plus an amortized
-//! O(1) frontier contraction per term — `Σ variants(fragment)` instead
-//! of `Π terms(group)` — so plans with 6+ cuts compile where the
-//! monolithic path blows up. The sweep yields only each term's exact
-//! value; the plan turns it into the term's law
-//! ([`qpd::BernoulliTerm`]), the same law a stitched term gets. The
-//! monolithic compiler stays as the pristine differential-testing
-//! reference (`tests/fragment_contraction.rs`), mirroring how
-//! `compile_dense` fences the hybrid sampler.
+//! Total cost is `Σ_F variants(F)` fragment simulations plus an
+//! amortized O(1) frontier contraction per term — instead of
+//! `Π terms(group)` stitched circuits — so plans with 6+ cuts compile
+//! where stitching blows up. The sweep yields only each term's exact
+//! value; the plan turns it into the term's law ([`qpd::BernoulliTerm`]).
+//! Plans over the resource caps ([`contraction_ineligibility`]) are
+//! rejected by name. Stitching
+//! ([`crate::planner::CompiledPlan::compile_monolithic`]) is only the
+//! differential-testing oracle (`tests/fragment_contraction.rs`), the
+//! way `compile_dense` is the hybrid sampler's reference.
 
 use crate::mub::{mub_error_pauli, MubField};
 use crate::nme::NmeCut;
 use crate::planner::{BackendReport, CutGroup, CutPlan, Protocol};
 use crate::term::{term_channel, WireCut};
 use qlinalg::Matrix;
+use qsim::dag::instruction_clbits;
 use qsim::{
-    fragment_circuit, Circuit, CompiledSampler, Op, Pauli, PauliString, StateVector, Superoperator,
+    fragment_circuit, BranchLeaf, Circuit, CompiledSampler, Pauli, PauliString, StateVector,
+    Superoperator,
 };
 use std::sync::Arc;
 
-/// Hard cap on incoming cut wires per fragment for the contracted path
-/// (`6^incoming` prep variants per fragment).
+/// Hard cap on a fragment's incoming frontier axes — cut wires plus
+/// received classical bits. It bounds the block at the `6^MAX_INCOMING`
+/// variants and `4^MAX_INCOMING` rows of a fragment receiving
+/// `MAX_INCOMING` cut wires.
 pub const MAX_INCOMING: usize = 8;
 
 /// Hard cap on joint-MUB group width for the contracted path. The
@@ -97,6 +113,7 @@ const SPARSE_CUTOFF: f64 = 1e-14;
 /// Six Pauli eigenstate preps per incoming wire, indexed `0..6`:
 /// `|0⟩, |1⟩, |+⟩, |−⟩, |+i⟩, |−i⟩`. Odd indices set the input basis
 /// bit; `{2,3}` append H; `{4,5}` append H then S (`S·H|1⟩ = |−i⟩`).
+/// A received classical bit has preps `0` and `1` only: its two values.
 const NUM_PREPS: usize = 6;
 
 /// `σ_a/2` expanded over eigenstate preps: `WEIGHTS[a]` lists the two
@@ -108,57 +125,54 @@ const WEIGHTS: [[(usize, f64); 2]; 4] = [
     [(0, 0.5), (1, -0.5)], // Z/2
 ];
 
-/// `true` when `plan` can compile through the contracted fragment-block
-/// path — see [`contraction_ineligibility`] for the full rule set and
-/// the named reason when it cannot.
-pub fn supports_contraction(plan: &CutPlan) -> bool {
-    contraction_ineligibility(plan).is_none()
+/// A classical bit handed from fragment `source` to `dest`, the next
+/// fragment that measures it or reads it in a condition.
+struct ClassicalEdge {
+    clbit: usize,
+    source: usize,
+    dest: usize,
 }
 
-/// Why `plan` cannot ride the contracted fragment-block path, or `None`
-/// when it can. The checks, in order:
-///
-/// 1. at least one cut (an uncut plan has nothing to contract);
-/// 2. **classical locality** — measurement and feed-forward are fine
-///    *within* a fragment (the block sums over outcome branches), but a
-///    classical bit measured in one fragment and read (or re-measured)
-///    in another threads a side channel the independent per-fragment
-///    blocks cannot express;
-/// 3. joint-MUB group width ≤ [`MAX_JOINT_WIRES`];
-/// 4. incoming cut wires per fragment ≤ [`MAX_INCOMING`], with the
-///    `6^incoming` variant count computed via `checked_pow` so a wide
-///    fragment is rejected by name instead of wrapping in release
-///    builds;
-/// 5. per-group term counts and their running product stay inside
-///    `usize` (same `checked_pow`/`checked_mul` discipline — the
-///    odometer sweep indexes `Π terms(group)` combinations).
-pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
-    if plan.groups.is_empty() {
-        return Some("plan has no cuts — nothing to contract".to_string());
-    }
-    let circuit = plan.circuit();
-    let mut owner: Vec<Option<usize>> = vec![None; circuit.num_clbits()];
+/// Every classical edge of `plan`: for each bit, each pair of
+/// consecutive fragments touching it, ordered by destination fragment,
+/// then bit.
+fn classical_edges(plan: &CutPlan) -> Vec<ClassicalEdge> {
+    let instructions = plan.circuit().instructions();
+    let mut last_touch: Vec<Option<usize>> = vec![None; plan.circuit().num_clbits()];
+    let mut edges = Vec::new();
     for (fi, frag) in plan.fragments.iter().enumerate() {
-        for &idx in &frag.instructions {
-            let instr = &circuit.instructions()[idx];
-            let measured = match instr.op {
-                Op::Measure { clbit, .. } => Some(clbit),
-                _ => None,
-            };
-            let read = instr.condition.map(|c| c.bit);
-            for clbit in measured.into_iter().chain(read) {
-                match owner[clbit] {
-                    Some(prev) if prev != fi => {
-                        return Some(format!(
-                            "classical bit {clbit} is shared between fragments {prev} and \
-                             {fi} — cross-fragment feed-forward cannot contract"
-                        ));
-                    }
-                    _ => owner[clbit] = Some(fi),
-                }
+        let mut bits: Vec<usize> = frag
+            .instructions
+            .iter()
+            .flat_map(|&i| instruction_clbits(&instructions[i]))
+            .collect();
+        bits.sort_unstable();
+        bits.dedup();
+        for clbit in bits {
+            if let Some(source) = last_touch[clbit].replace(fi) {
+                edges.push(ClassicalEdge {
+                    clbit,
+                    source,
+                    dest: fi,
+                });
             }
         }
     }
+    edges
+}
+
+/// Why `plan` exceeds the contraction's resource caps, or `None` when
+/// [`crate::planner::CompiledPlan::compile`] can compile it. The caps,
+/// in order:
+///
+/// 1. joint-MUB group width ≤ [`MAX_JOINT_WIRES`];
+/// 2. incoming frontier axes per fragment — cut wires `q` plus received
+///    classical bits `c` — ≤ [`MAX_INCOMING`], which bounds its
+///    `6^q · 2^c` variants and `4^(q+c)` block rows;
+/// 3. per-group term counts and their running product stay inside
+///    `usize` (`checked_pow`/`checked_mul` — the odometer sweep indexes
+///    `Π terms(group)` combinations).
+pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
     for (gi, g) in plan.groups.iter().enumerate() {
         if g.protocol == Protocol::JointMub && g.num_wires() > MAX_JOINT_WIRES {
             return Some(format!(
@@ -168,20 +182,18 @@ pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
             ));
         }
     }
-    let mut incoming = vec![0usize; plan.fragments.len()];
+    let mut axes_in = vec![0usize; plan.fragments.len()];
     for g in &plan.groups {
-        incoming[g.cuts[0].dest_fragment] += g.num_wires();
+        axes_in[g.cuts[0].dest_fragment] += g.num_wires();
     }
-    for (fi, &n_in) in incoming.iter().enumerate() {
+    for e in classical_edges(plan) {
+        axes_in[e.dest] += 1;
+    }
+    for (fi, &n_in) in axes_in.iter().enumerate() {
         if n_in > MAX_INCOMING {
             return Some(format!(
-                "fragment {fi} receives {n_in} cut wires, above the MAX_INCOMING = \
-                 {MAX_INCOMING} variant cap"
-            ));
-        }
-        if NUM_PREPS.checked_pow(n_in as u32).is_none() {
-            return Some(format!(
-                "fragment {fi}: prep variant count {NUM_PREPS}^{n_in} overflows usize"
+                "fragment {fi} receives {n_in} incoming axes (cut wires plus classical \
+                 bits), above the MAX_INCOMING = {MAX_INCOMING} cap"
             ));
         }
     }
@@ -365,11 +377,12 @@ fn shared<K: PartialEq, T: ?Sized>(
 /// incoming index `a`: row `a` lists the surviving `(b_out, value)`
 /// pairs of `F[a, b]`.
 struct FragmentBlock {
-    /// Incoming cut slots `(group, slot)`, ascending; slot `i` is the
-    /// `i`-th base-4 digit of the row index `a`.
+    /// Incoming frontier keys, ascending: cut slots `(group, slot)`,
+    /// then classical edges `(groups + edge, 0)`; key `i` is the `i`-th
+    /// base-4 digit of the row index `a`.
     in_slots: Vec<(usize, usize)>,
-    /// Outgoing cut slots, ascending; slot `i` is the `i`-th base-4
-    /// digit of the column index `b`.
+    /// Outgoing frontier keys, ascending in the same order; key `i` is
+    /// the `i`-th base-4 digit of the column index `b`.
     out_slots: Vec<(usize, usize)>,
     /// CSR row offsets, length `4^in + 1`.
     row_ptr: Vec<usize>,
@@ -391,9 +404,11 @@ pub struct FragmentBlockSummary {
     pub incoming: usize,
     /// Outgoing cut wires.
     pub outgoing: usize,
-    /// Compiled prep variants (`6^incoming`).
+    /// Compiled prep variants: `6^incoming · 2^bits` for a fragment
+    /// receiving `bits` classical bits.
     pub variants: usize,
-    /// Entries surviving CSR sparsification, out of `4^(in+out)`.
+    /// Entries surviving CSR sparsification, out of `4^(in+out)` over
+    /// all incoming and outgoing frontier axes.
     pub nnz: usize,
     /// Largest classical-outcome branch count across variants (1 for a
     /// unitary fragment; measurement fragments block over each outcome).
@@ -435,13 +450,13 @@ struct Schedule {
     /// after its apply — all remaining absorbs — folded through each of
     /// its terms' (transposed) transfers. `fused_tail[t]` dotted with
     /// the frontier before the last apply is the term value, so the hot
-    /// path of the sweep is one multiplication. `None` when the fold
-    /// would be larger than the work it saves.
+    /// path of the sweep is one multiplication. `None` when the plan
+    /// has no group or the fold would be larger than the work it saves.
     fused_tail: Option<Vec<Vec<f64>>>,
 }
 
 /// Prefix-cache hit/op counters of one [`FrontierSweep`] (mirrored into
-/// [`BackendReport`] by the contracted compile path).
+/// [`BackendReport`] by [`crate::planner::CompiledPlan::compile`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Terms evaluated.
@@ -461,9 +476,8 @@ pub struct SweepStats {
 
 /// All per-fragment blocks and per-group transfer matrices of one plan —
 /// everything needed to evaluate any product term by contraction. Built
-/// once per plan ([`FragmentBlocks::build`]); cached inside the compiled
-/// plan, so the service's compiled-plan cache shares the blocks across
-/// every job hitting the same [`crate::planner::PlanKey`].
+/// once per compile ([`FragmentBlocks::build`]); the compiled plan keeps
+/// only the term values it yields.
 pub struct FragmentBlocks {
     blocks: Vec<FragmentBlock>,
     transfers: Vec<GroupTransfer>,
@@ -480,13 +494,14 @@ impl FragmentBlocks {
     /// identical plans produce bit-identical blocks.
     ///
     /// # Panics
-    /// Panics when `!supports_contraction(plan)` (with the
+    /// Panics when the plan exceeds a resource cap (with the
     /// [`contraction_ineligibility`] reason) or the observable does not
     /// match the planned circuit.
     pub fn build(plan: &CutPlan, observable: &PauliString) -> Self {
         if let Some(reason) = contraction_ineligibility(plan) {
-            panic!("plan does not support contracted compilation: {reason}");
+            panic!("plan exceeds the contraction caps: {reason}");
         }
+        let edges = classical_edges(plan);
         let circuit = plan.circuit();
         assert_eq!(observable.num_qubits(), circuit.num_qubits());
         assert!(observable.is_diagonal());
@@ -524,6 +539,17 @@ impl FragmentBlocks {
                     }
                 }
             }
+            // Classical edges key after every cut slot, each with its bit.
+            let (mut in_bits, mut out_bits) = (Vec::new(), Vec::new());
+            for (ei, e) in edges.iter().enumerate() {
+                let key = (plan.groups.len() + ei, 0);
+                if e.dest == fi {
+                    in_bits.push((key, e.clbit));
+                }
+                if e.source == fi {
+                    out_bits.push((key, e.clbit));
+                }
+            }
             // Z factors terminate on the wire's *last* fragment — any
             // wire still outgoing defers its Z through the cut channel.
             let z_locals: Vec<usize> = frag
@@ -533,16 +559,17 @@ impl FragmentBlocks {
                 .map(|&w| local[w])
                 .collect();
             let base = fragment_circuit(circuit, frag);
-            let n_in = in_slots.len();
-            let n_out = out_slots.len();
-            let dim_out = 1usize << (2 * n_out);
-            let num_variants = NUM_PREPS.checked_pow(n_in as u32).expect(
-                "variant count overflows usize — eligibility admitted a plan it must reject",
-            );
+            // Received bit `j` is preset from ancilla qubit `width + j`.
+            let qubits = width + in_bits.len();
+            let (n_wires, n_out_wires) = (in_slots.len(), out_slots.len());
+            let n_in = n_wires + in_bits.len();
+            let dim_out = 1usize << (2 * (n_out_wires + out_bits.len()));
+            // Bounded by the MAX_INCOMING axis cap checked above.
+            let num_variants = NUM_PREPS.pow(n_wires as u32) << in_bits.len();
             let mut outcome_branches = 1usize;
             let mut vals = vec![vec![0.0f64; dim_out]; num_variants];
             for (v, val) in vals.iter_mut().enumerate() {
-                let mut c = Circuit::new(width, base.num_clbits());
+                let mut c = Circuit::new(qubits, base.num_clbits());
                 let mut basis_mask = 0usize;
                 let mut rem = v;
                 for &(_, q) in &in_slots {
@@ -558,13 +585,18 @@ impl FragmentBlocks {
                         c.s(q);
                     }
                 }
+                for (j, &(_, clbit)) in in_bits.iter().enumerate() {
+                    basis_mask |= (rem & 1) << (width + j);
+                    rem >>= 1;
+                    c.measure(width + j, clbit);
+                }
                 c.compose(&base);
                 let input = if basis_mask == 0 {
                     None
                 } else {
-                    let mut amps = vec![qlinalg::c64(0.0, 0.0); 1 << width];
+                    let mut amps = vec![qlinalg::c64(0.0, 0.0); 1 << qubits];
                     amps[basis_mask] = qlinalg::c64(1.0, 0.0);
-                    Some(StateVector::from_amplitudes(width, amps))
+                    Some(StateVector::from_amplitudes(qubits, amps))
                 };
                 let sampler = CompiledSampler::compile(&c, input.as_ref());
                 backend.count_unit(&sampler);
@@ -574,8 +606,18 @@ impl FragmentBlocks {
                 // outcome). A unitary fragment has exactly one leaf.
                 let leaves = sampler.leaves();
                 outcome_branches = outcome_branches.max(leaves.len());
-                for (b, slot) in val.iter_mut().enumerate() {
-                    let mut ops = vec![Pauli::I; width];
+                'column: for (b, slot) in val.iter_mut().enumerate() {
+                    // A sent bit's I digit weighs a leaf by 1 and its Z
+                    // digit by (−1)^bit; its X and Y columns are zero.
+                    let mut z_bits = 0u64;
+                    for (i, &(_, clbit)) in out_bits.iter().enumerate() {
+                        match (b >> (2 * (n_out_wires + i))) & 3 {
+                            0 => {}
+                            3 => z_bits |= 1 << clbit,
+                            _ => continue 'column,
+                        }
+                    }
+                    let mut ops = vec![Pauli::I; qubits];
                     for &q in &z_locals {
                         ops[q] = Pauli::Z;
                     }
@@ -583,9 +625,11 @@ impl FragmentBlocks {
                         ops[q] = Pauli::from_index((b >> (2 * i)) & 3);
                     }
                     let obs = PauliString::new(ops);
+                    let sign =
+                        |l: &BranchLeaf| (-1f64).powi((l.clbits & z_bits).count_ones() as i32);
                     *slot = leaves
                         .iter()
-                        .map(|l| l.probability * l.state.expval_pauli(&obs))
+                        .map(|l| sign(l) * l.probability * l.state.expval_pauli(&obs))
                         .sum();
                 }
             }
@@ -598,6 +642,12 @@ impl FragmentBlocks {
             row_ptr.push(0);
             let mut row = vec![0.0f64; dim_out];
             for a in 0..dim_in {
+                // A received bit's X and Y rows stay empty: its two
+                // preps are the I and Z rows' bit values 0 and 1.
+                if !(n_wires..n_in).all(|i| matches!((a >> (2 * i)) & 3, 0 | 3)) {
+                    row_ptr.push(cols.len());
+                    continue;
+                }
                 row.fill(0.0);
                 for choice in 0..(1usize << n_in) {
                     let mut weight = 1.0f64;
@@ -607,7 +657,7 @@ impl FragmentBlocks {
                         let (prep, w) = WEIGHTS[(a >> (2 * i)) & 3][(choice >> i) & 1];
                         weight *= w;
                         v += prep * scale;
-                        scale *= NUM_PREPS;
+                        scale *= if i < n_wires { NUM_PREPS } else { 2 };
                     }
                     for (b, &x) in vals[v].iter().enumerate() {
                         row[b] += weight * x;
@@ -624,21 +674,21 @@ impl FragmentBlocks {
             summaries.push(FragmentBlockSummary {
                 fragment: fi,
                 width: frag.width(),
-                incoming: n_in,
-                outgoing: n_out,
+                incoming: n_wires,
+                outgoing: n_out_wires,
                 variants: num_variants,
                 nnz: cols.len(),
                 outcome_branches,
             });
             blocks.push(FragmentBlock {
-                in_slots: in_slots.into_iter().map(|(k, _)| k).collect(),
-                out_slots: out_slots.into_iter().map(|(k, _)| k).collect(),
+                in_slots: in_slots.iter().chain(&in_bits).map(|&(k, _)| k).collect(),
+                out_slots: out_slots.iter().chain(&out_bits).map(|&(k, _)| k).collect(),
                 row_ptr,
                 cols,
                 vals: csr_vals,
             });
         }
-        let schedule = build_schedule(&blocks, &transfers, &groups_at_source, &group_wires);
+        let schedule = build_schedule(&blocks, &transfers, &groups_at_source, &group_wires, &edges);
         Self {
             blocks,
             transfers,
@@ -671,7 +721,8 @@ impl FragmentBlocks {
     /// `g`'s QPD term. Pure contraction — no circuit simulation, no
     /// prefix cache, no fused tail: every op of the schedule runs from
     /// scratch. This is the cache-disabled reference the differential
-    /// suite holds [`FrontierSweep`] against.
+    /// suite holds [`FrontierSweep`] against, and the one term of a plan
+    /// with no cut group (`pick = &[]`).
     pub fn term_value(&self, pick: &[usize]) -> f64 {
         assert_eq!(pick.len(), self.transfers.len());
         let mut vals = vec![1.0f64];
@@ -687,7 +738,15 @@ impl FragmentBlocks {
     /// it picks in [`qpd::QpdSpec::product`] odometer order (last group
     /// fastest) for amortized O(1) frontier work per term; any order is
     /// correct, just slower.
+    ///
+    /// # Panics
+    /// Panics when the plan has no cut group: its one term is
+    /// [`term_value`](Self::term_value) at `&[]`.
     pub fn sweep(&self) -> FrontierSweep<'_> {
+        assert!(
+            !self.transfers.is_empty(),
+            "a plan without cut groups has one term: evaluate it with term_value(&[])"
+        );
         FrontierSweep {
             blocks: self,
             last_pick: vec![0; self.transfers.len()],
@@ -871,14 +930,16 @@ const MAX_FUSED_TABLE: usize = 1 << 22;
 /// Precompiles the contraction walk: simulates the frontier's axis
 /// bookkeeping once (it is pick-independent) and records one op per
 /// fragment absorb and per group apply, in program order. Structural
-/// frontier corruption — a cut slot consumed before its source produced
-/// it, or never consumed at all — panics here, naming the fragment,
-/// group, slot and wire involved.
+/// frontier corruption — a cut slot or classical edge consumed before
+/// its source produced it, or never consumed at all — panics here,
+/// naming the fragment and the group, slot and wire involved, or the
+/// classical bit.
 fn build_schedule(
     blocks: &[FragmentBlock],
     transfers: &[GroupTransfer],
     groups_at_source: &[Vec<usize>],
     group_wires: &[Vec<usize>],
+    edges: &[ClassicalEdge],
 ) -> Schedule {
     let mut keys: Vec<(usize, usize)> = Vec::new();
     let mut ops = Vec::new();
@@ -891,10 +952,13 @@ fn build_schedule(
             .iter()
             .map(|&(gi, si)| {
                 keys.iter().position(|&k| k == (gi, si)).unwrap_or_else(|| {
+                    let axis = match group_wires.get(gi) {
+                        Some(wires) => format!("slot {si} of group {gi} (wire {})", wires[si]),
+                        None => format!("classical bit {}", edges[gi - group_wires.len()].clbit),
+                    };
                     panic!(
-                        "contraction frontier corrupt: fragment {fi} consumes slot {si} of \
-                         group {gi} (wire {}), which is not on the frontier {keys:?}",
-                        group_wires[gi][si]
+                        "contraction frontier corrupt: fragment {fi} consumes {axis}, \
+                         which is not on the frontier {keys:?}"
                     )
                 })
             })
@@ -931,7 +995,7 @@ fn build_schedule(
     }
     assert!(
         keys.is_empty(),
-        "unconsumed cut axes after contraction: {keys:?}"
+        "unconsumed frontier axes after contraction: {keys:?}"
     );
     debug_assert!(group_op.windows(2).all(|w| w[0] < w[1]));
     let fused_tail = build_fused_tail(blocks, transfers, &ops, &group_op, tail_dim);
@@ -956,7 +1020,7 @@ fn build_fused_tail(
     group_op: &[usize],
     dim: usize,
 ) -> Option<Vec<Vec<f64>>> {
-    let last = transfers.len() - 1;
+    let last = transfers.len().checked_sub(1)?;
     let nt = transfers[last].num_terms();
     if dim > MAX_FUSED_DIM || nt.saturating_mul(dim) > MAX_FUSED_TABLE {
         return None;
@@ -1094,7 +1158,7 @@ fn apply_joint_diag(vals: &mut [f64], axes: &[usize], diag: &[f64]) {
 mod tests {
     use super::*;
     use crate::joint::{apply_basis_term, apply_flip_term, JointWireCut};
-    use crate::planner::CutPlanner;
+    use crate::planner::{CompiledPlan, CutPlanner};
 
     fn ladder(n: usize) -> Circuit {
         let mut c = Circuit::new(n, 0);
@@ -1274,7 +1338,7 @@ mod tests {
         let c = ladder(4);
         let obs = PauliString::from_label("ZZZZ");
         let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
-        assert!(supports_contraction(&plan));
+        assert_eq!(contraction_ineligibility(&plan), None);
         let blocks = FragmentBlocks::build(&plan, &obs);
         let lens = blocks.group_lens();
         let total: usize = lens.iter().product();
@@ -1311,29 +1375,34 @@ mod tests {
     }
 
     #[test]
-    fn cross_fragment_feedforward_falls_back_to_monolithic() {
+    fn cross_fragment_feedforward_contracts_over_a_classical_axis() {
         // Measure in one fragment, condition in a later one: the shared
-        // classical bit threads a side channel between fragments.
+        // bit becomes a classical frontier axis, and the contraction
+        // reproduces the uncut feed-forward value.
         let mut c = Circuit::new(3, 1);
         c.ry(0.4, 0).cx(0, 1).measure(1, 0).cx(1, 2).x_if(2, 0);
         let plan = CutPlanner::new(2).plan(&c);
         assert!(!plan.groups.is_empty());
-        let reason = contraction_ineligibility(&plan).expect("cross-fragment clbit must block");
-        assert!(
-            reason.contains("classical bit 0"),
-            "reason does not name the shared bit: {reason}"
-        );
-        assert!(!supports_contraction(&plan));
+        assert!(!classical_edges(&plan).is_empty(), "bit 0 must cross");
+        assert_eq!(contraction_ineligibility(&plan), None);
+        let obs = PauliString::from_label("ZZZ");
+        let uncut = crate::planner::uncut_plan_expectation(&c, &obs);
+        let value = CompiledPlan::compile(&plan, &obs).exact_value();
+        assert!((value - uncut).abs() < 1e-10, "{value} vs uncut {uncut}");
     }
 
     #[test]
-    fn uncut_plans_fall_back_to_monolithic() {
+    fn uncut_plans_contract_as_one_term() {
         let c = ladder(3);
         let plan = CutPlanner::new(3).plan(&c);
         assert!(plan.groups.is_empty());
-        assert!(!supports_contraction(&plan));
-        let reason = contraction_ineligibility(&plan).unwrap();
-        assert!(reason.contains("no cuts"), "{reason}");
+        assert_eq!(contraction_ineligibility(&plan), None);
+        let obs = PauliString::from_label("ZZZ");
+        let blocks = FragmentBlocks::build(&plan, &obs);
+        assert!(blocks.schedule.fused_tail.is_none());
+        let uncut = crate::planner::uncut_plan_expectation(&c, &obs);
+        let value = CompiledPlan::compile(&plan, &obs).exact_value();
+        assert!((value - uncut).abs() < 1e-10, "{value} vs uncut {uncut}");
     }
 
     #[test]

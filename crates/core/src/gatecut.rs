@@ -100,7 +100,6 @@ impl CzGateCut {
                 .iter()
                 .map(|t| TermSpec {
                     coefficient: t.coefficient,
-                    label: t.label.clone(),
                     pairs_consumed: 0.0,
                 })
                 .collect(),

@@ -205,7 +205,6 @@ impl JointWireCut {
                 .iter()
                 .map(|t| TermSpec {
                     coefficient: t.coefficient,
-                    label: t.labels.join("×"),
                     pairs_consumed: t.pairs_consumed,
                 })
                 .collect(),

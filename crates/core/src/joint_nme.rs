@@ -481,7 +481,6 @@ impl NmeJointCut {
                 .iter()
                 .map(|t| TermSpec {
                     coefficient: t.coefficient,
-                    label: t.labels.join("×"),
                     pairs_consumed: t.pairs_consumed,
                 })
                 .collect(),

@@ -36,8 +36,8 @@
 //! * [`contract`] — per-fragment tensor-block compilation: each fragment
 //!   compiles once per local boundary-role variant and product terms are
 //!   evaluated by Pauli-transfer contraction (`Σ variants` circuits
-//!   instead of `Π terms`), the planner's default backend for unitary
-//!   plans.
+//!   instead of `Π terms`), the planner's one compile path; classical
+//!   bits crossing fragments ride the frontier as free classical axes.
 //! * [`service`] — cutting as a service: an estimation-job engine with a
 //!   content-addressed compiled-plan cache ([`planner::PlanKey`]),
 //!   streaming per-batch partial estimates, sequential
@@ -65,8 +65,8 @@ pub mod term;
 pub mod theory;
 
 pub use contract::{
-    contraction_ineligibility, supports_contraction, FragmentBlockSummary, FragmentBlocks,
-    FrontierSweep, SweepStats, MAX_INCOMING, MAX_JOINT_WIRES,
+    contraction_ineligibility, FragmentBlockSummary, FragmentBlocks, FrontierSweep, SweepStats,
+    MAX_INCOMING, MAX_JOINT_WIRES,
 };
 pub use executor::{uncut_expectation, PreparedCut, PreparedTerm};
 pub use harada::HaradaCut;
@@ -76,8 +76,8 @@ pub use mixed::{BellDiagonalCut, DistillThenCut, OverheadMetric};
 pub use nme::{NmeCut, TeleportationPassthrough};
 pub use peng::PengCut;
 pub use planner::{
-    uncut_plan_expectation, BackendReport, CompiledPlan, CutGroup, CutPlan, CutPlanner,
-    PlanBackend, PlanKey, PlanReport, PlannedCut, Protocol,
+    uncut_plan_expectation, BackendReport, CompiledPlan, CutGroup, CutPlan, CutPlanner, PlanKey,
+    PlanReport, PlannedCut, Protocol,
 };
 pub use service::{AllocationMode, BatchUpdate, CutService, EstimationJob, JobOutcome};
 pub use term::{identity_distance, reconstructed_channel, term_channel, CutTerm, WireCut};

@@ -133,7 +133,6 @@ impl ParallelWireCut {
                 .iter()
                 .map(|t| TermSpec {
                     coefficient: t.coefficient,
-                    label: t.labels.join("×"),
                     pairs_consumed: t.pairs_consumed,
                 })
                 .collect(),

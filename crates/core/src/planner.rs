@@ -20,25 +20,23 @@
 //!    (Theorem 2, `κ = γ(f)ⁿ`) win exactly when the available resource
 //!    overlap satisfies `f ≥ f*(n)`; otherwise the entanglement-free
 //!    joint MUB cut (`κ = 2^{n+1} − 1`, [`crate::joint`]) wins.
-//! 4. **Compilation** — [`CompiledPlan::compile`] picks between two
-//!    ways of computing each product term's exact value. The default,
-//!    **contracted** path ([`CompiledPlan::compile_contracted`],
-//!    [`crate::contract`]) compiles each *fragment* once per local
-//!    boundary-role variant and evaluates every product term by tensor
-//!    contraction — cost `Σ variants(fragment)` instead of
-//!    `Π terms(group)`, so plans with 6+ cuts compile where stitching
-//!    blows up. The **monolithic** path
-//!    ([`CompiledPlan::compile_monolithic`]) stitches one circuit per
+//! 4. **Compilation** — [`CompiledPlan::compile`] computes each product
+//!    term's exact value by contraction ([`crate::contract`]): each
+//!    *fragment* compiles once per local boundary-role variant and every
+//!    product term is a tensor contraction — cost `Σ variants(fragment)`
+//!    instead of `Π terms(group)`, so plans with 6+ cuts compile where
+//!    stitching blows up. Classical bits crossing fragments ride the
+//!    frontier as free classical axes, and an uncut plan is one term.
+//!    [`CompiledPlan::compile_monolithic`] stitches one circuit per
 //!    combination of per-group QPD terms (carrier-qubit threading
-//!    through [`Circuit::compose_mapped`]), reads its value off the
-//!    [`CompiledSampler`] branch tree and drops the sampler; it stays
-//!    as the pristine differential-testing reference, mirroring how
-//!    `compile_dense` fences the hybrid sampler. Either way each term
-//!    becomes a [`BernoulliTerm`] on the batched [`TermSampler`]
-//!    estimate path: the one law its exact value fixes. The plan-level
-//!    coefficient structure is the product QPD [`QpdSpec::product`], so
-//!    `κ(plan) = Π κ(group)` and the stock `qpd` allocators spread shots
-//!    across all cuts at once.
+//!    through [`Circuit::compose_mapped`]) and reads its value off the
+//!    [`CompiledSampler`] branch tree; no production code calls it —
+//!    it is the differential-testing oracle, the way `compile_dense` is
+//!    the hybrid sampler's. Each term becomes a [`BernoulliTerm`] on the
+//!    batched [`TermSampler`] estimate path: the one law its exact value
+//!    fixes. The plan-level coefficient structure is the product QPD
+//!    [`QpdSpec::product`], so `κ(plan) = Π κ(group)` and the stock
+//!    `qpd` allocators spread shots across all cuts at once.
 //!
 //! In debug/test builds every compilation re-verifies its cut groups
 //! once each through [`CompiledPlan::verify_groups`] (per-group spec
@@ -47,7 +45,7 @@
 //! the exhaustive product-spec check stays behind the test-only
 //! [`CompiledPlan::verify`] helper, whose cost grows as `Π terms`.
 
-use crate::contract::{contraction_ineligibility, FragmentBlockSummary, FragmentBlocks};
+use crate::contract::{FragmentBlockSummary, FragmentBlocks};
 use crate::joint::JointWireCut;
 use crate::mub;
 use crate::multi::{MultiCutTerm, ParallelWireCut};
@@ -58,9 +56,9 @@ use qsim::{fragments_by_width, Circuit, CompiledSampler, Fragment, Instruction, 
 
 /// The crossover overlap `f*(n) = 2/((2^{n+1} − 1)^{1/n} + 1)`:
 /// independent `|Φ_k⟩` cuts beat (or tie) the joint MUB cut exactly when
-/// `f ≥ f*(n)`. Mirrors `experiments::joint_scaling::crossover_overlap`
-/// (pinned equal in the integration tests); duplicated here because the
-/// planner sits below the experiments crate in the dependency order.
+/// `f ≥ f*(n)`. It rises from `1/2` at `n = 1` towards `2/3`: more wires
+/// widen the regime where joint cutting wins. The protocol choice and
+/// `experiments::joint_scaling`'s κ crossover map both read it.
 pub fn crossover_overlap(n: usize) -> f64 {
     assert!(n >= 1);
     let gamma_star = ((2u64 << n) - 1) as f64;
@@ -550,23 +548,11 @@ impl CutPlanner {
     }
 }
 
-/// Which compilation strategy produced a [`CompiledPlan`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlanBackend {
-    /// One stitched monolithic circuit per product-term combination
-    /// (`Π terms(group)` compiled circuits) — the pristine
-    /// differential-testing reference.
-    Monolithic,
-    /// Per-fragment tensor blocks compiled once (`Σ variants(fragment)`
-    /// circuits) and contracted per term ([`crate::contract`]).
-    Contracted,
-}
-
 /// Which simulator backends a compiled plan's circuits ride, aggregated
 /// over all compiled circuit units (see
 /// [`qsim::CompiledSampler::compile`]'s backend split). A *unit* is one
-/// stitched term circuit on the monolithic path and one fragment prep
-/// variant on the contracted path.
+/// fragment prep variant, or one stitched term circuit on a
+/// [`CompiledPlan::compile_monolithic`] oracle plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackendReport {
     /// Compiled circuit units (stitched terms or fragment variants).
@@ -579,9 +565,9 @@ pub struct BackendReport {
     pub clifford_instructions: usize,
     /// Single-qubit gates absorbed by fusion in the dense portions.
     pub gates_fused: usize,
-    /// Frontier matrix multiplications performed by the contracted
-    /// backend's prefix-cached odometer sweep (0 on the monolithic
-    /// path, which never contracts a frontier).
+    /// Frontier matrix multiplications performed by the prefix-cached
+    /// odometer sweep (0 on an uncut plan, which has no sweep, and on
+    /// a stitched oracle plan).
     pub frontier_ops: usize,
     /// Frontier multiplications a cache-disabled sweep over the same
     /// terms would have performed — the denominator of the prefix-cache
@@ -647,20 +633,18 @@ impl BackendReport {
 /// groups plus one [`BernoulliTerm`] per term combination, ready for the
 /// stock `qpd` estimators.
 ///
-/// Both backends only compute each term's exact value `⟨O⟩ᵢ`. A ±1
+/// Compilation only computes each term's exact value `⟨O⟩ᵢ`. A ±1
 /// observable's law is fixed by that value, so every term draws from
-/// the same prepared `B(n, (1 + ⟨O⟩ᵢ)/2)` whichever backend computed
-/// it, and no plan keeps a per-term circuit or sampler.
+/// the prepared `B(n, (1 + ⟨O⟩ᵢ)/2)`, and no plan keeps a per-term
+/// circuit or sampler.
 pub struct CompiledPlan {
     /// Product QPD coefficient structure (`κ = Π κ(group)`).
     pub spec: QpdSpec,
     terms: Vec<BernoulliTerm>,
     exact: f64,
     report: PlanReport,
-    backend: PlanBackend,
     backend_report: BackendReport,
     fragment_summaries: Vec<FragmentBlockSummary>,
-    fallback_reason: Option<String>,
 }
 
 impl CompiledPlan {
@@ -669,92 +653,70 @@ impl CompiledPlan {
     /// the planned circuit itself — workload preparation belongs in the
     /// circuit being planned.
     ///
-    /// Automatically selects the backend: the contracted fragment-block
-    /// path ([`CompiledPlan::compile_contracted`]) whenever the plan
-    /// supports it ([`crate::contract::supports_contraction`]),
-    /// otherwise the monolithic
-    /// stitching path ([`CompiledPlan::compile_monolithic`]). Both are
-    /// exact and deterministic, and their terms draw from one law; they
-    /// differ only in compilation cost scaling.
+    /// Builds per-fragment tensor blocks once ([`FragmentBlocks::build`],
+    /// `Σ variants(fragment)` compiled circuits) and evaluates each of
+    /// the `Π terms(group)` product terms through the prefix-cached
+    /// frontier sweep ([`FragmentBlocks::sweep`]) — no per-term circuit
+    /// is ever stitched or simulated, and terms sharing an odometer
+    /// prefix share their partial frontier contractions. The sweep's
+    /// hit/op counters land in the [`BackendReport`]. A plan with no cut
+    /// is one unit-coefficient term, the contraction of its fragments.
     ///
     /// In debug/test builds the compiled plan's cut groups are verified
     /// on the spot ([`CompiledPlan::verify_groups`]), so malformed term
     /// products fail loudly on the compile path.
-    pub fn compile(plan: &CutPlan, observable: &PauliString) -> Self {
-        match contraction_ineligibility(plan) {
-            None => Self::compile_contracted(plan, observable),
-            Some(reason) => {
-                let mut compiled = Self::compile_monolithic(plan, observable);
-                compiled.fallback_reason = Some(reason);
-                compiled
-            }
-        }
-    }
-
-    /// The **contracted** backend: builds per-fragment tensor blocks
-    /// once ([`FragmentBlocks::build`], `Σ variants(fragment)` compiled
-    /// circuits) and evaluates each of the `Π terms(group)` product
-    /// terms through the prefix-cached frontier sweep
-    /// ([`FragmentBlocks::sweep`]) — no per-term circuit is ever
-    /// stitched or simulated, and terms sharing an odometer prefix
-    /// share their partial frontier contractions. The sweep's hit/op
-    /// counters land in the [`BackendReport`].
     ///
     /// # Panics
-    /// Panics when `!supports_contraction(plan)`; use
-    /// [`CompiledPlan::compile`] for automatic fallback.
-    pub fn compile_contracted(plan: &CutPlan, observable: &PauliString) -> Self {
+    /// Panics, naming the cap, when the plan exceeds a contraction
+    /// resource cap ([`crate::contract::contraction_ineligibility`]).
+    pub fn compile(plan: &CutPlan, observable: &PauliString) -> Self {
         let blocks = FragmentBlocks::build(plan, observable);
-        let group_specs: Vec<QpdSpec> = plan.groups.iter().map(|g| g.spec()).collect();
-        let spec = QpdSpec::product(&group_specs);
-        let lens = blocks.group_lens();
-        for (len, gs) in lens.iter().zip(group_specs.iter()) {
-            assert_eq!(*len, gs.len(), "group transfer/spec term mismatch");
-        }
-        let total: usize = lens.iter().product();
-        assert_eq!(spec.len(), total);
-        let mut terms = Vec::with_capacity(total);
-        let mut sweep = blocks.sweep();
-        // Row-major enumeration, last group fastest — the same order
-        // `QpdSpec::product` uses, so coefficients line up and every
-        // consecutive pair of picks shares the longest possible prefix.
-        // One pick buffer, stepped in place like an odometer.
-        let mut pick = vec![0usize; lens.len()];
-        for _ in 0..total {
-            terms.push(BernoulliTerm::new(sweep.term_value(&pick)));
-            for g in (0..lens.len()).rev() {
-                pick[g] += 1;
-                if pick[g] < lens[g] {
-                    break;
-                }
-                pick[g] = 0;
-            }
-        }
-        let stats = sweep.stats();
+        let (spec, lens) = plan_spec(plan);
+        assert_eq!(
+            lens,
+            blocks.group_lens(),
+            "group transfer/spec term mismatch"
+        );
         let mut backend_report = blocks.backend_report();
-        backend_report.frontier_ops = stats.frontier_ops;
-        backend_report.frontier_ops_uncached = stats.frontier_ops_uncached;
-        backend_report.prefix_hits = stats.prefix_hits;
-        backend_report.prefix_rebuilds = stats.prefix_rebuilds;
-        Self::assemble(
-            plan,
-            spec,
-            terms,
-            PlanBackend::Contracted,
-            backend_report,
-            blocks.summaries().to_vec(),
-        )
+        let terms = if lens.is_empty() {
+            vec![BernoulliTerm::new(blocks.term_value(&[]))]
+        } else {
+            let mut terms = Vec::with_capacity(spec.len());
+            let mut sweep = blocks.sweep();
+            // Row-major enumeration, last group fastest — the same order
+            // `QpdSpec::product` uses, so coefficients line up and every
+            // consecutive pair of picks shares the longest possible prefix.
+            // One pick buffer, stepped in place like an odometer.
+            let mut pick = vec![0usize; lens.len()];
+            for _ in 0..spec.len() {
+                terms.push(BernoulliTerm::new(sweep.term_value(&pick)));
+                for g in (0..lens.len()).rev() {
+                    pick[g] += 1;
+                    if pick[g] < lens[g] {
+                        break;
+                    }
+                    pick[g] = 0;
+                }
+            }
+            let stats = sweep.stats();
+            backend_report.frontier_ops = stats.frontier_ops;
+            backend_report.frontier_ops_uncached = stats.frontier_ops_uncached;
+            backend_report.prefix_hits = stats.prefix_hits;
+            backend_report.prefix_rebuilds = stats.prefix_rebuilds;
+            terms
+        };
+        let summaries = blocks.summaries().to_vec();
+        Self::assemble(plan, spec, terms, backend_report, summaries)
     }
 
-    /// The **monolithic** backend: stitches one carrier-threaded circuit
+    /// The **stitching oracle**: stitches one carrier-threaded circuit
     /// per combination of per-group QPD terms, simulates it once for the
     /// term's exact value and drops its sampler. Compilation cost grows
-    /// as `Π terms(group)` — intractable past ~4 cuts — so this path
-    /// exists as the pristine differential-testing reference for the
-    /// contracted backend (`tests/fragment_contraction.rs`) and as the
-    /// fallback for plans the contraction does not support (uncut plans,
-    /// cross-fragment feed-forward, oversized groups — see
-    /// [`contraction_ineligibility`]).
+    /// as `Π terms(group)` — intractable past ~4 cuts — and no production
+    /// code calls it: it is the pristine differential-testing reference
+    /// that [`CompiledPlan::compile`] is held against
+    /// (`tests/fragment_contraction.rs`). Its plans carry no fragment
+    /// summaries.
     pub fn compile_monolithic(plan: &CutPlan, observable: &PauliString) -> Self {
         let circuit = plan.circuit();
         assert_eq!(
@@ -766,53 +728,33 @@ impl CompiledPlan {
             observable.is_diagonal(),
             "plan estimator supports diagonal (Z/I) observables"
         );
+        let group_terms: Vec<Vec<MultiCutTerm>> = plan.groups.iter().map(|g| g.terms()).collect();
+        let (spec, lens) = plan_spec(plan);
+        assert!(group_terms.iter().map(Vec::len).eq(lens));
         let mut backend_report = BackendReport::default();
-        let (spec, terms) = if plan.groups.is_empty() {
-            // Nothing to cut: a single unit-coefficient term.
-            let spec = QpdSpec::from_parts(&[(1.0, "uncut", 0.0)]);
-            let exact = compile_combo(plan, &[], observable, &mut backend_report);
-            (spec, vec![BernoulliTerm::new(exact)])
-        } else {
-            let group_terms: Vec<Vec<MultiCutTerm>> =
-                plan.groups.iter().map(|g| g.terms()).collect();
-            let group_specs: Vec<QpdSpec> = plan.groups.iter().map(|g| g.spec()).collect();
-            let spec = QpdSpec::product(&group_specs);
-            let lens: Vec<usize> = group_terms.iter().map(|t| t.len()).collect();
-            let total: usize = lens.iter().product();
-            assert_eq!(spec.len(), total);
-            let mut terms = Vec::with_capacity(total);
-            // Row-major enumeration, last group fastest — the same order
-            // `QpdSpec::product` uses, so coefficients line up.
-            for combo_idx in 0..total {
-                let mut rem = combo_idx;
-                let mut picked: Vec<&MultiCutTerm> = vec![&group_terms[0][0]; lens.len()];
-                for g in (0..lens.len()).rev() {
-                    picked[g] = &group_terms[g][rem % lens[g]];
-                    rem /= lens[g];
-                }
-                let exact = compile_combo(plan, &picked, observable, &mut backend_report);
-                terms.push(BernoulliTerm::new(exact));
+        // Row-major enumeration, last group fastest — the same order
+        // `QpdSpec::product` uses, so coefficients line up.
+        let mut terms = Vec::with_capacity(spec.len());
+        let mut picked: Vec<&MultiCutTerm> = group_terms.iter().map(|ts| &ts[0]).collect();
+        for combo in 0..spec.len() {
+            let mut rem = combo;
+            for (slot, ts) in picked.iter_mut().zip(&group_terms).rev() {
+                *slot = &ts[rem % ts.len()];
+                rem /= ts.len();
             }
-            (spec, terms)
-        };
-        Self::assemble(
-            plan,
-            spec,
-            terms,
-            PlanBackend::Monolithic,
-            backend_report,
-            Vec::new(),
-        )
+            let exact = compile_combo(plan, &picked, observable, &mut backend_report);
+            terms.push(BernoulliTerm::new(exact));
+        }
+        Self::assemble(plan, spec, terms, backend_report, Vec::new())
     }
 
-    /// The plan both backends finish with: `terms` aligned with `spec`,
+    /// The plan both compilers finish with: `terms` aligned with `spec`,
     /// the exact value summed once, and in debug/test builds the cut
     /// groups verified on the spot.
     fn assemble(
         plan: &CutPlan,
         spec: QpdSpec,
         terms: Vec<BernoulliTerm>,
-        backend: PlanBackend,
         backend_report: BackendReport,
         fragment_summaries: Vec<FragmentBlockSummary>,
     ) -> Self {
@@ -821,10 +763,8 @@ impl CompiledPlan {
             terms,
             exact: 0.0,
             report: plan.report(),
-            backend,
             backend_report,
             fragment_summaries,
-            fallback_reason: None,
         };
         compiled.exact = qpd::exact_value(&compiled.spec, &compiled.samplers());
         if cfg!(debug_assertions) {
@@ -862,32 +802,19 @@ impl CompiledPlan {
         &self.report
     }
 
-    /// Which compilation backend produced this plan.
-    pub fn backend(&self) -> PlanBackend {
-        self.backend
-    }
-
     /// Which simulator backends the plan's compiled circuits actually
-    /// rode, plus the contracted sweep's counters. Aggregated over
-    /// stitched term circuits (monolithic) or fragment prep variants
-    /// (contracted), and captured at compile time; a service client
-    /// reads it off the cached plan ([`crate::service::CutService::compiled`]).
+    /// rode, plus the sweep's counters. Aggregated over fragment prep
+    /// variants (or stitched term circuits on an oracle plan) and
+    /// captured at compile time; a service client reads it off the
+    /// cached plan ([`crate::service::CutService::compiled`]).
     pub fn backend_report(&self) -> BackendReport {
         self.backend_report
     }
 
-    /// Per-fragment compilation summaries — one per plan fragment on the
-    /// contracted backend, empty on the monolithic backend.
+    /// Per-fragment compilation summaries, one per plan fragment (empty
+    /// on a [`CompiledPlan::compile_monolithic`] oracle plan).
     pub fn fragment_summaries(&self) -> &[FragmentBlockSummary] {
         &self.fragment_summaries
-    }
-
-    /// Why [`CompiledPlan::compile`] fell back to the monolithic
-    /// backend (the [`contraction_ineligibility`] reason), `None` on
-    /// the contracted path or when a monolithic compile was requested
-    /// explicitly.
-    pub fn fallback_reason(&self) -> Option<&str> {
-        self.fallback_reason.as_deref()
     }
 
     /// Per-group verification at `Σ terms(group)` cost — the check that
@@ -953,6 +880,17 @@ impl CompiledPlan {
         }
         Ok(())
     }
+}
+
+/// The plan's product QPD spec and its per-group term counts; a plan
+/// with no cut is one unit-coefficient term.
+fn plan_spec(plan: &CutPlan) -> (QpdSpec, Vec<usize>) {
+    let group_specs: Vec<QpdSpec> = plan.groups.iter().map(|g| g.spec()).collect();
+    let lens = group_specs.iter().map(QpdSpec::len).collect();
+    if group_specs.is_empty() {
+        return (QpdSpec::from_parts(&[(1.0, 0.0)]), lens);
+    }
+    (QpdSpec::product(&group_specs), lens)
 }
 
 /// Stitches one monolithic circuit for one per-group term combination
@@ -1039,7 +977,7 @@ fn map_through_carriers(instr: &Instruction, carrier: &[usize]) -> Instruction {
 /// The uncut reference: exact expectation of a diagonal (Z/I) observable
 /// after running `circuit` from `|0…0⟩`, read off the circuit's whole
 /// branch tree by [`CompiledSampler::exact_expval_parity`] — the readout
-/// that also gives each monolithic plan term its value.
+/// that also gives each stitched oracle term its value.
 pub fn uncut_plan_expectation(circuit: &Circuit, observable: &PauliString) -> f64 {
     assert_eq!(observable.num_qubits(), circuit.num_qubits());
     assert!(observable.is_diagonal());
@@ -1189,7 +1127,6 @@ mod tests {
         let obs = PauliString::from_label("ZZZZ");
         let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
         let compiled = CompiledPlan::compile_monolithic(&plan, &obs);
-        assert_eq!(compiled.backend(), PlanBackend::Monolithic);
         let r = compiled.backend_report();
         assert_eq!(r.terms, compiled.plan_terms().len());
         assert!(r.total_instructions > 0);
@@ -1586,52 +1523,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn auto_compile_selects_the_backend_by_plan_shape() {
-        // Unitary cut plan ⇒ contracted; per-term exacts must agree with
-        // the monolithic reference to 1e-8 (QPD bookkeeping aligned).
-        let c = ladder(4);
-        let obs = PauliString::from_label("ZZZZ");
-        let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
-        let auto = CompiledPlan::compile(&plan, &obs);
-        assert_eq!(auto.backend(), PlanBackend::Contracted);
-        assert_eq!(auto.fragment_summaries().len(), plan.fragments.len());
-        let mono = CompiledPlan::compile_monolithic(&plan, &obs);
-        assert_eq!(auto.spec.len(), mono.spec.len());
-        for (a, m) in auto.exact_terms().iter().zip(mono.exact_terms()) {
+    /// `compile` and the stitching oracle agree term by term to 1e-8.
+    fn assert_matches_the_oracle(plan: &CutPlan, obs: &PauliString) {
+        let compiled = CompiledPlan::compile(plan, obs);
+        assert_eq!(compiled.fragment_summaries().len(), plan.fragments.len());
+        let mono = CompiledPlan::compile_monolithic(plan, obs);
+        assert_eq!(compiled.spec.len(), mono.spec.len());
+        for (a, m) in compiled.exact_terms().iter().zip(mono.exact_terms()) {
             assert!((a - m).abs() < 1e-8, "contracted {a} vs monolithic {m}");
         }
-        assert_eq!(auto.fallback_reason(), None);
-        // Measurement with a fragment-local clbit ⇒ still contracted:
-        // the block sums over the outcome branches, and the per-term
-        // exacts must match the monolithic reference.
+    }
+
+    #[test]
+    fn auto_compile_selects_the_backend_by_plan_shape() {
+        // Every plan shape contracts, and its per-term exacts agree with
+        // the stitching oracle to 1e-8 (QPD bookkeeping aligned): a
+        // unitary cut plan, ...
+        let plan = CutPlanner::new(2).with_overlap(0.8).plan(&ladder(4));
+        assert_matches_the_oracle(&plan, &PauliString::from_label("ZZZZ"));
+        // ... a measurement with a fragment-local clbit (the block sums
+        // over the outcome branches) ...
         let mut mc = Circuit::new(3, 1);
         mc.ry(0.4, 0).cx(0, 1).cx(1, 2).measure(2, 0);
         let plan = CutPlanner::new(2).plan(&mc);
         assert!(!plan.groups.is_empty());
-        let mobs = PauliString::from_label("ZZI");
-        let compiled = CompiledPlan::compile(&plan, &mobs);
-        assert_eq!(compiled.backend(), PlanBackend::Contracted);
-        let mono = CompiledPlan::compile_monolithic(&plan, &mobs);
-        for (a, m) in compiled.exact_terms().iter().zip(mono.exact_terms()) {
-            assert!((a - m).abs() < 1e-8, "contracted {a} vs monolithic {m}");
-        }
-        // A clbit shared between fragments ⇒ monolithic fallback, with
-        // the ineligibility reason surfaced on the compiled plan.
+        assert_matches_the_oracle(&plan, &PauliString::from_label("ZZI"));
+        // ... and a clbit shared between fragments, which rides the
+        // frontier as a classical axis.
         let mut ff = Circuit::new(3, 1);
         ff.ry(0.4, 0).cx(0, 1).measure(1, 0).cx(1, 2).x_if(2, 0);
         let plan = CutPlanner::new(2).plan(&ff);
         assert!(!plan.groups.is_empty());
-        let compiled = CompiledPlan::compile(&plan, &PauliString::from_label("ZZI"));
-        assert_eq!(compiled.backend(), PlanBackend::Monolithic);
-        assert!(compiled.fragment_summaries().is_empty());
-        let reason = compiled.fallback_reason().expect("fallback must be named");
-        assert!(reason.contains("classical bit"), "{reason}");
+        assert_eq!(crate::contract::contraction_ineligibility(&plan), None);
+        assert_matches_the_oracle(&plan, &PauliString::from_label("ZZI"));
     }
 
-    /// The plans the contraction does not cover, as named by
-    /// [`contraction_ineligibility`]: a clbit shared between fragments
-    /// (cross-fragment feed-forward) and a plan with nothing to cut.
+    /// The plan shapes the contraction once left to stitching: a clbit
+    /// shared between fragments (cross-fragment feed-forward) and a plan
+    /// with nothing to cut.
     fn fallback_plans() -> [(CutPlan, PauliString); 2] {
         let mut ff = Circuit::new(3, 1);
         ff.ry(0.4, 0).cx(0, 1).measure(1, 0).cx(1, 2).x_if(2, 0);
@@ -1646,14 +1575,11 @@ mod tests {
 
     #[test]
     fn fallback_plan_terms_draw_from_the_one_term_law() {
-        // A monolithic term's batched draw is the binomial its exact
-        // value fixes, on the RNG words a per-call `qsample::binomial`
-        // reads: no multinomial over the stitched circuit's branch
-        // leaves comes first.
+        // A term's batched draw is the binomial its exact value fixes,
+        // on the RNG words a per-call `qsample::binomial` reads: no
+        // multinomial over any circuit's branch leaves comes first.
         for (plan, obs) in fallback_plans() {
             let compiled = CompiledPlan::compile(&plan, &obs);
-            assert_eq!(compiled.backend(), PlanBackend::Monolithic);
-            assert!(compiled.fallback_reason().is_some());
             for (i, term) in compiled.plan_terms().iter().enumerate() {
                 let p_plus = ((1.0 + term.exact_expectation()) / 2.0).clamp(0.0, 1.0);
                 let mut rng = qsample::StreamRng::new(0xFA11, i as u64);
@@ -1681,10 +1607,10 @@ mod tests {
             .chain([(ladder_plan, PauliString::from_label("ZZZZ"))]);
         for (plan, obs) in cases {
             let uncut = uncut_plan_expectation(plan.circuit(), &obs);
-            let mut compiled = vec![CompiledPlan::compile_monolithic(&plan, &obs)];
-            if contraction_ineligibility(&plan).is_none() {
-                compiled.push(CompiledPlan::compile_contracted(&plan, &obs));
-            }
+            let compiled = [
+                CompiledPlan::compile(&plan, &obs),
+                CompiledPlan::compile_monolithic(&plan, &obs),
+            ];
             for c in &compiled {
                 let summed = qpd::exact_value(&c.spec, &c.samplers());
                 assert_eq!(c.exact_value().to_bits(), summed.to_bits());
@@ -1698,7 +1624,7 @@ mod tests {
         let c = ladder(4);
         let obs = PauliString::from_label("ZZZZ");
         let plan = CutPlanner::new(2).with_overlap(0.8).plan(&c);
-        let compiled = CompiledPlan::compile_contracted(&plan, &obs);
+        let compiled = CompiledPlan::compile(&plan, &obs);
         let r = compiled.backend_report();
         let variants: usize = compiled
             .fragment_summaries()

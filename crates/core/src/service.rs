@@ -5,8 +5,7 @@
 //! budget + seed — from many concurrent clients, where the expensive
 //! work (planning and compiling a [`CompiledPlan`]: fragment blocks,
 //! group transfers and the frontier sweep that gives every product term
-//! its exact value, or one stitched circuit per term for the plans the
-//! contraction does not cover) is paid **once per distinct plan** and
+//! its exact value) is paid **once per distinct plan** and
 //! every repeat request only pays for shot allocation and one binomial
 //! draw per term and batch.
 //!

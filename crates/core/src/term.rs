@@ -53,7 +53,6 @@ pub trait WireCut: Send + Sync {
                 .iter()
                 .map(|t| TermSpec {
                     coefficient: t.coefficient,
-                    label: t.label.clone(),
                     pairs_consumed: t.pairs_consumed,
                 })
                 .collect(),

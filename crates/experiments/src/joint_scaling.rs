@@ -7,9 +7,11 @@
 //!    entanglement level `f`: the entanglement-free joint optimum
 //!    `κ_joint = 2^{n+1} − 1`, the Theorem 1 independent-cut optimum
 //!    `κ_indep = γ(f)ⁿ = (2/f − 1)ⁿ`, and the crossover level
-//!    `f*(n) = 2/((2^{n+1} − 1)^{1/n} + 1)` above which independent NME
-//!    cuts beat the maximally-entangled-free joint cut. `κ_joint` grows
-//!    like `2·2ⁿ` while `κ_indep` grows like `γⁿ`, so the joint scheme
+//!    `f*(n) = 2/((2^{n+1} − 1)^{1/n} + 1)`
+//!    ([`wirecut::planner::crossover_overlap`], the planner's own
+//!    protocol switch) above which independent NME cuts beat the
+//!    maximally-entangled-free joint cut. `κ_joint` grows like `2·2ⁿ`
+//!    while `κ_indep` grows like `γⁿ`, so the joint scheme
 //!    wins exactly when `γ > (2^{n+1} − 1)^{1/n} → 2` — i.e. whenever the
 //!    available entanglement is weak (`f < f* → 2/3`).
 //! 2. [`nme_sweep_table`] — the open-theory exploration: the achieved
@@ -35,6 +37,7 @@ use rand::Rng;
 use wirecut::joint::JointWireCut;
 use wirecut::joint_nme::explore_joint_nme;
 use wirecut::multi::{MultiCutTerm, ParallelWireCut, PreparedMultiCut};
+use wirecut::planner::crossover_overlap;
 use wirecut::theory;
 use wirecut::NmeCut;
 
@@ -80,15 +83,6 @@ impl Default for JointScalingConfig {
 /// Stream tag for the sender-state lane, shared across wire counts so
 /// every `n` compares the same family of sender angles.
 const STATE_STREAM: u64 = 0x1357;
-
-/// The crossover overlap `f*(n)`: independent `|Φ_k⟩` cuts beat the
-/// entanglement-free joint cut exactly when `f > f*(n)`;
-/// `f*(n) = 2/((2^{n+1} − 1)^{1/n} + 1)` rises from `1/2` at `n = 1`
-/// towards `2/3` — more wires widen the regime where joint cutting wins.
-pub fn crossover_overlap(n: usize) -> f64 {
-    let gamma_star = ((2u64 << n) - 1) as f64;
-    2.0 / (gamma_star.powf(1.0 / n as f64) + 1.0)
-}
 
 /// Closed-form κ map. Columns: `(wires, f, k, kappa_joint, kappa_indep,
 /// crossover_f, indep_wins)` — `indep_wins` is 1 when `γ(f)ⁿ < 2^{n+1}−1`.

@@ -250,7 +250,7 @@ mod tests {
     fn predicted_variance_formula() {
         // Two-term spec with coefficients (1, −1), exact values (0, 0):
         // Var = 1/n₁ + 1/n₂ with n = 50/50 split of 100.
-        let spec = qpd::QpdSpec::from_parts(&[(1.0, "a", 0.0), (-1.0, "b", 0.0)]);
+        let spec = qpd::QpdSpec::from_parts(&[(1.0, 0.0), (-1.0, 0.0)]);
         let v = predicted_variance(&spec, &[0.0, 0.0], 100);
         assert!((v - (1.0 / 50.0 + 1.0 / 50.0)).abs() < 1e-12);
     }

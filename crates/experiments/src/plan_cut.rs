@@ -9,7 +9,7 @@
 //! The sweep axis is the resource overlap `f`: each grid row shows how
 //! the planner's protocol mix (NME teleportation vs joint MUB
 //! measure-and-prepare, chosen per group from the κ crossover
-//! `f*(n)` — [`crate::joint_scaling::crossover_overlap`]) and the plan
+//! `f*(n)` — [`wirecut::planner::crossover_overlap`]) and the plan
 //! overhead `κ = Π κ(group)` respond to the available entanglement,
 //! while `plan_exact_dev` pins the compiled decomposition to the uncut
 //! value exactly (≈ 1e−15, the planner's defining identity).
@@ -17,19 +17,18 @@
 //! Circuits ride a circuit-index-keyed shared stream so every overlap
 //! plans the **same** circuit family (paired design), and the whole
 //! `(f, circuit)` grid is sharded by [`qsample::grid::ShardedGrid`] — the
-//! CSV is byte-identical for any thread count. Unitary plans compile
-//! through the **contracted fragment-block backend**
-//! (`wirecut::contract`, cost `Σ variants(fragment)`), so the cut count
-//! no longer drives an exponential stitching bill; circuits are still
-//! deterministically resampled into a bounded cut band so the sweep's κ
-//! (and hence its shot noise) stays comparable across rows (the
-//! resampling happens inside the shared stream, so it is itself
-//! thread-invariant). The trailing `clifford_fraction` /
-//! `contracted_share` / `prefix_hit_rate` / `frontier_savings` columns
-//! surface [`CompiledPlan::backend_report`]: how much of the compiled
-//! work rode the stabilizer fast path, which backend compiled each
-//! cell, and how much frontier work the contracted backend's
-//! prefix-cached odometer sweep saved over a cache-disabled evaluation.
+//! CSV is byte-identical for any thread count. Plans compile through
+//! the **contracted fragment blocks** (`wirecut::contract`, cost
+//! `Σ variants(fragment)`), so the cut count no longer drives an
+//! exponential stitching bill; circuits are still deterministically
+//! resampled into a bounded cut band so the sweep's κ (and hence its
+//! shot noise) stays comparable across rows (the resampling happens
+//! inside the shared stream, so it is itself thread-invariant). The
+//! trailing `clifford_fraction` / `prefix_hit_rate` /
+//! `frontier_savings` columns surface [`CompiledPlan::backend_report`]:
+//! how much of the compiled work rode the stabilizer fast path, and how
+//! much frontier work the prefix-cached odometer sweep saved over a
+//! cache-disabled evaluation.
 //!
 //! Run via `cargo run --release -p experiments --bin plan_cut`
 //! (writes `results/plan_cut.csv`).
@@ -93,7 +92,7 @@ impl Default for PlanCutConfig {
 /// Draws random unitary circuits from `rng` until the planner produces a
 /// plan with `1..=max_cuts` cuts (keeping κ — and with it the sweep's
 /// shot noise — in a comparable band across cells; compilation itself is
-/// no longer the binding constraint since the contracted backend).
+/// no longer the binding constraint since plans contract).
 /// Deterministic given the stream: the accepted circuit is a pure
 /// function of the draws.
 pub fn tractable_random_circuit<R: rand::Rng>(
@@ -124,18 +123,16 @@ struct PlanCutCell {
     band_halfwidth: f64,
     covered_fraction: f64,
     clifford_fraction: f64,
-    contracted: f64,
     prefix_hit_rate: f64,
     frontier_savings: f64,
 }
 
 /// Runs the sweep. Columns: `(f, fragments, cuts, joint_share, kappa,
 /// plan_exact_dev, mean_abs_error, wilson_halfwidth, band_coverage,
-/// clifford_fraction, contracted_share, prefix_hit_rate,
-/// frontier_savings)`, one row per overlap, averaged over the shared
-/// circuit family. `prefix_hit_rate` is the fraction of odometer digits
-/// whose partial frontier the contracted sweep served from the prefix
-/// cache, and `frontier_savings` the resulting
+/// clifford_fraction, prefix_hit_rate, frontier_savings)`, one row per
+/// overlap, averaged over the shared circuit family. `prefix_hit_rate`
+/// is the fraction of odometer digits whose partial frontier the sweep
+/// served from the prefix cache, and `frontier_savings` the resulting
 /// `frontier_ops_uncached / frontier_ops` payoff factor.
 pub fn run(config: &PlanCutConfig) -> Table {
     let mut t = Table::new(&[
@@ -149,7 +146,6 @@ pub fn run(config: &PlanCutConfig) -> Table {
         "wilson_halfwidth",
         "band_coverage",
         "clifford_fraction",
-        "contracted_share",
         "prefix_hit_rate",
         "frontier_savings",
     ]);
@@ -210,10 +206,6 @@ pub fn run(config: &PlanCutConfig) -> Table {
                 band_halfwidth: band,
                 covered_fraction: covered as f64 / config.repetitions as f64,
                 clifford_fraction: backend.clifford_fraction(),
-                contracted: match compiled.backend() {
-                    wirecut::planner::PlanBackend::Contracted => 1.0,
-                    wirecut::planner::PlanBackend::Monolithic => 0.0,
-                },
                 prefix_hit_rate: backend.prefix_hit_rate(),
                 frontier_savings: backend.frontier_savings(),
             }
@@ -227,7 +219,6 @@ pub fn run(config: &PlanCutConfig) -> Table {
         let mut band = RunningStats::new();
         let mut cov = RunningStats::new();
         let mut cliff = RunningStats::new();
-        let mut contracted = RunningStats::new();
         let mut hit_rate = RunningStats::new();
         let mut savings = RunningStats::new();
         let mut dev = 0.0f64;
@@ -240,7 +231,6 @@ pub fn run(config: &PlanCutConfig) -> Table {
             band.push(cell.band_halfwidth);
             cov.push(cell.covered_fraction);
             cliff.push(cell.clifford_fraction);
-            contracted.push(cell.contracted);
             hit_rate.push(cell.prefix_hit_rate);
             savings.push(cell.frontier_savings);
             dev = dev.max(cell.exact_dev);
@@ -258,7 +248,6 @@ pub fn run(config: &PlanCutConfig) -> Table {
             band.mean(),
             cov.mean(),
             cliff.mean(),
-            contracted.mean(),
             hit_rate.mean(),
             savings.mean(),
         ]);
@@ -316,18 +305,11 @@ mod tests {
 
     #[test]
     fn backend_columns_report_the_contracted_lift() {
-        // Every sweep cell plans a unitary circuit, so every plan must
-        // ride the contracted fragment-block backend, and the
-        // clifford_fraction column (from `backend_report()`) must be a
-        // valid fraction.
+        // The clifford_fraction and prefix_hit_rate columns (from
+        // `backend_report()`) must be valid fractions, and the prefix
+        // cache can only save frontier work.
         let t = run(&small());
         for row in t.rows() {
-            assert!(
-                (row[10] - 1.0).abs() < 1e-12,
-                "contracted_share {} at f={}",
-                row[10],
-                row[0]
-            );
             assert!(
                 (0.0..=1.0).contains(&row[9]),
                 "clifford_fraction {} at f={}",
@@ -335,15 +317,15 @@ mod tests {
                 row[0]
             );
             assert!(
-                (0.0..=1.0).contains(&row[11]),
+                (0.0..=1.0).contains(&row[10]),
                 "prefix_hit_rate {} at f={}",
-                row[11],
+                row[10],
                 row[0]
             );
             assert!(
-                row[12] >= 1.0,
+                row[11] >= 1.0,
                 "frontier_savings {} at f={}",
-                row[12],
+                row[11],
                 row[0]
             );
         }

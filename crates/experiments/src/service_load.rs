@@ -135,16 +135,14 @@ pub fn build_jobs(config: &ServiceLoadConfig) -> Vec<EstimationJob> {
 
 /// Runs the experiment. Columns: `(circuit, cuts, kappa, exact,
 /// static_mean_err, static_var, seq_mean_err, seq_var, var_ratio,
-/// contracted, compiled_units, prefix_hit_rate, frontier_savings)` —
-/// one row per circuit, statistics over the job repetitions. The
-/// trailing columns surface the plan's compilation backend per
-/// [`wirecut::service::JobOutcome`]: whether the cached plan rode the
-/// contracted fragment-block path, how many circuit units it compiled
-/// (`Σ variants(fragment)` when contracted — the quantity the
-/// compiled-plan cache amortises across the fleet), what fraction of
-/// odometer digits its prefix-cached sweep served from the partial
-/// frontier stack, and the resulting frontier-multiplication payoff
-/// over a cache-disabled evaluation.
+/// compiled_units, prefix_hit_rate, frontier_savings)` — one row per
+/// circuit, statistics over the job repetitions. The trailing columns
+/// surface the cached plan's [`wirecut::planner::BackendReport`]: how
+/// many circuit units it compiled (`Σ variants(fragment)` — the
+/// quantity the compiled-plan cache amortises across the fleet), what
+/// fraction of odometer digits its prefix-cached sweep served from the
+/// partial frontier stack, and the resulting frontier-multiplication
+/// payoff over a cache-disabled evaluation.
 pub fn run(config: &ServiceLoadConfig) -> Table {
     let mut t = Table::new(&[
         "circuit",
@@ -156,7 +154,6 @@ pub fn run(config: &ServiceLoadConfig) -> Table {
         "seq_mean_err",
         "seq_var",
         "var_ratio",
-        "contracted",
         "compiled_units",
         "prefix_hit_rate",
         "frontier_savings",
@@ -202,10 +199,6 @@ pub fn run(config: &ServiceLoadConfig) -> Table {
             seq_err.mean(),
             qv,
             if sv > 0.0 { qv / sv } else { 1.0 },
-            match plan.backend() {
-                wirecut::planner::PlanBackend::Contracted => 1.0,
-                wirecut::planner::PlanBackend::Monolithic => 0.0,
-            },
             backend.terms as f64,
             backend.prefix_hit_rate(),
             backend.frontier_savings(),
@@ -239,11 +232,9 @@ mod tests {
         for row in t.rows() {
             assert!((1.0..=2.0).contains(&row[1]), "cuts {row:?}");
             assert!(row[2] >= 1.0, "kappa {row:?}");
-            // Unitary random circuits ⇒ contracted backend everywhere.
-            assert!((row[9] - 1.0).abs() < 1e-12, "backend {row:?}");
-            assert!(row[10] >= 1.0, "compiled units {row:?}");
-            assert!((0.0..=1.0).contains(&row[11]), "prefix_hit_rate {row:?}");
-            assert!(row[12] >= 1.0, "frontier_savings {row:?}");
+            assert!(row[9] >= 1.0, "compiled units {row:?}");
+            assert!((0.0..=1.0).contains(&row[10]), "prefix_hit_rate {row:?}");
+            assert!(row[11] >= 1.0, "frontier_savings {row:?}");
             assert!(row[4] >= 0.0 && row[6] >= 0.0, "errors {row:?}");
             assert!(row[5] > 0.0 && row[7] > 0.0, "variances {row:?}");
             // Realised errors stay within a few κ/√shots of exact.

@@ -344,7 +344,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         // A κ = 3 Harada-style fixture: +0.3 +0.5 −0.36 = 0.44.
-        let spec = QpdSpec::from_parts(&[(1.0, "a", 0.0), (1.0, "b", 0.0), (-1.0, "c", 0.0)]);
+        let spec = QpdSpec::from_parts(&[(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]);
         let terms = [
             BernoulliTerm::new(0.3),
             BernoulliTerm::new(0.5),
@@ -376,7 +376,7 @@ mod tests {
 
     #[test]
     fn wilson_band_scales_inversely_with_shot_budget() {
-        let spec = QpdSpec::from_parts(&[(1.0, "a", 0.0), (-0.5, "b", 0.0)]);
+        let spec = QpdSpec::from_parts(&[(1.0, 0.0), (-0.5, 0.0)]);
         let exact = [0.2, -0.4];
         let narrow = qpd_wilson_band(&spec, &exact, 40_000, 5.0);
         let wide = qpd_wilson_band(&spec, &exact, 400, 5.0);

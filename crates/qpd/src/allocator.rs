@@ -260,7 +260,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn spec_abc() -> QpdSpec {
-        QpdSpec::from_parts(&[(0.6, "a", 1.0), (0.6, "b", 1.0), (-0.2, "c", 0.0)])
+        QpdSpec::from_parts(&[(0.6, 1.0), (0.6, 1.0), (-0.2, 0.0)])
     }
 
     #[test]
@@ -507,7 +507,7 @@ mod tests {
         // proportional split at equal total shots.
         use crate::estimator::{estimate_with_allocation, BernoulliTerm, TermSampler};
         use qsample::StreamRng;
-        let spec = QpdSpec::from_parts(&[(1.0, "a", 0.0), (1.0, "b", 0.0), (-1.0, "c", 0.0)]);
+        let spec = QpdSpec::from_parts(&[(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]);
         let terms = [
             BernoulliTerm::new(0.99), // σ ≈ 0.14
             BernoulliTerm::new(0.0),  // σ = 1

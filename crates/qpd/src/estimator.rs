@@ -293,7 +293,7 @@ mod tests {
     /// A Harada-style 3-term decomposition of a target expectation 0.44:
     /// +1·(0.3) + 1·(0.5) − 1·(0.36) = 0.44.
     fn fixture() -> (QpdSpec, Vec<BernoulliTerm>) {
-        let spec = QpdSpec::from_parts(&[(1.0, "a", 0.0), (1.0, "b", 0.0), (-1.0, "c", 0.0)]);
+        let spec = QpdSpec::from_parts(&[(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]);
         let terms = vec![
             BernoulliTerm::new(0.3),
             BernoulliTerm::new(0.5),
@@ -335,7 +335,7 @@ mod tests {
         // per-term variance corrections).
         let (spec, terms) = fixture();
         let refs = dyn_terms(&terms);
-        let direct_spec = QpdSpec::from_parts(&[(1.0, "direct", 0.0)]);
+        let direct_spec = QpdSpec::from_parts(&[(1.0, 0.0)]);
         let direct_term = BernoulliTerm::new(0.44);
         let direct_refs: Vec<&dyn TermSampler> = vec![&direct_term];
         let mut rng = StdRng::seed_from_u64(7);

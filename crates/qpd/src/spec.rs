@@ -5,16 +5,13 @@
 //! cost is governed by `κ = Σᵢ|cᵢ|` (Eq. 12–13): reproducing `E`'s
 //! expectation values to accuracy ε needs `O(κ²/ε²)` shots.
 
-/// Metadata of one QPD term: its signed coefficient, a display label, and
-/// how many pre-shared entangled pairs executing it consumes (0 for
+/// Metadata of one QPD term: its signed coefficient and how many
+/// pre-shared entangled pairs executing it consumes (0 for
 /// measure-and-prepare terms, 1 for each teleportation).
 #[derive(Clone, Debug)]
 pub struct TermSpec {
     /// Signed quasiprobability coefficient `cᵢ`.
     pub coefficient: f64,
-    /// Human-readable label (e.g. `"tel-H"`, `"meas-prep"`); empty on
-    /// the terms of a [`QpdSpec::product`].
-    pub label: String,
     /// Entangled pairs consumed per execution of this term.
     pub pairs_consumed: f64,
 }
@@ -39,15 +36,14 @@ impl QpdSpec {
         Self { terms }
     }
 
-    /// Convenience constructor from `(coefficient, label, pairs)` tuples.
-    pub fn from_parts(parts: &[(f64, &str, f64)]) -> Self {
+    /// Convenience constructor from `(coefficient, pairs)` tuples.
+    pub fn from_parts(parts: &[(f64, f64)]) -> Self {
         Self::new(
             parts
                 .iter()
-                .map(|&(c, l, p)| TermSpec {
-                    coefficient: c,
-                    label: l.to_string(),
-                    pairs_consumed: p,
+                .map(|&(coefficient, pairs_consumed)| TermSpec {
+                    coefficient,
+                    pairs_consumed,
                 })
                 .collect(),
         )
@@ -126,9 +122,7 @@ impl QpdSpec {
     /// coefficient structure of a whole multi-cut execution *plan*:
     /// one term per combination of one term from each factor, with
     /// coefficient `Π cᵢ` and summed pair consumption, both folded left
-    /// to right from `1.0` and `0.0` (`((1·c₁)·c₂)·…`). Product terms
-    /// carry an **empty label**: a plan has `Π lenᵢ` of them and nothing
-    /// reads a per-combination name, so none is built.
+    /// to right from `1.0` and `0.0` (`((1·c₁)·c₂)·…`).
     ///
     /// Terms are enumerated row-major (the **last** factor's index moves
     /// fastest), matching an odometer over `combo[g] = (i / strideᵍ) %
@@ -142,7 +136,6 @@ impl QpdSpec {
         assert!(!specs.is_empty(), "product of zero QPDs");
         let mut terms = vec![TermSpec {
             coefficient: 1.0,
-            label: String::new(),
             pairs_consumed: 0.0,
         }];
         for spec in specs {
@@ -151,7 +144,6 @@ impl QpdSpec {
                 for t in spec.terms() {
                     next.push(TermSpec {
                         coefficient: acc.coefficient * t.coefficient,
-                        label: String::new(),
                         pairs_consumed: acc.pairs_consumed + t.pairs_consumed,
                     });
                 }
@@ -168,11 +160,7 @@ mod tests {
 
     fn harada_like() -> QpdSpec {
         // The γ = 3 optimal cut: coefficients (+1, +1, −1).
-        QpdSpec::from_parts(&[
-            (1.0, "meas-H", 0.0),
-            (1.0, "meas-SH", 0.0),
-            (-1.0, "meas-prep", 0.0),
-        ])
+        QpdSpec::from_parts(&[(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)])
     }
 
     #[test]
@@ -205,11 +193,7 @@ mod tests {
         let k: f64 = 0.5;
         let a = (k * k + 1.0) / ((k + 1.0) * (k + 1.0));
         let b = (k - 1.0) * (k - 1.0) / ((k + 1.0) * (k + 1.0));
-        let spec = QpdSpec::from_parts(&[
-            (a, "tel-H", 1.0),
-            (a, "tel-SH", 1.0),
-            (-b, "meas-prep", 0.0),
-        ]);
+        let spec = QpdSpec::from_parts(&[(a, 1.0), (a, 1.0), (-b, 0.0)]);
         let gamma = 4.0 * (k * k + 1.0) / ((k + 1.0) * (k + 1.0)) - 1.0;
         assert!((spec.kappa() - gamma).abs() < 1e-12);
         assert!(spec.validate(1e-12).is_ok());
@@ -221,7 +205,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_sum() {
-        let spec = QpdSpec::from_parts(&[(0.7, "a", 0.0), (0.7, "b", 0.0)]);
+        let spec = QpdSpec::from_parts(&[(0.7, 0.0), (0.7, 0.0)]);
         assert!(spec.validate(1e-9).is_err());
     }
 
@@ -234,7 +218,7 @@ mod tests {
     #[test]
     fn product_spec_multiplies_kappa_and_counts() {
         let a = harada_like(); // κ = 3, 3 terms
-        let b = QpdSpec::from_parts(&[(0.75, "tel", 1.0), (0.25, "mp", 0.0)]); // κ = 1
+        let b = QpdSpec::from_parts(&[(0.75, 1.0), (0.25, 0.0)]); // κ = 1
         let p = QpdSpec::product(&[a.clone(), b.clone()]);
         assert_eq!(p.len(), 6);
         assert!((p.kappa() - a.kappa() * b.kappa()).abs() < 1e-12);
@@ -252,7 +236,6 @@ mod tests {
                 t.pairs_consumed.to_bits(),
                 (0.0 + x.pairs_consumed + y.pairs_consumed).to_bits()
             );
-            assert!(t.label.is_empty(), "product term {idx} carries a label");
         }
         assert_eq!(p.coefficients(), vec![0.75, 0.25, 0.75, 0.25, -0.75, -0.25]);
         // Pairs add across factors.
@@ -268,7 +251,6 @@ mod tests {
         for (x, y) in p.terms().iter().zip(a.terms().iter()) {
             assert_eq!(x.coefficient.to_bits(), y.coefficient.to_bits());
             assert_eq!(x.pairs_consumed.to_bits(), y.pairs_consumed.to_bits());
-            assert!(x.label.is_empty());
         }
     }
 

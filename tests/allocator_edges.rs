@@ -22,10 +22,10 @@ fn arb_spec() -> impl Strategy<Value = QpdSpec> {
             cs.iter().map(|c| c.abs()).sum::<f64>() > 1e-6
         })
         .prop_map(|cs| {
-            let parts: Vec<(f64, &str, f64)> = cs
+            let parts: Vec<(f64, f64)> = cs
                 .iter()
                 .enumerate()
-                .map(|(i, &c)| (c, "t", (i % 2) as f64))
+                .map(|(i, &c)| (c, (i % 2) as f64))
                 .collect();
             QpdSpec::from_parts(&parts)
         })
@@ -200,11 +200,11 @@ fn largest_remainder_matches_the_oracle_at_the_edges() {
 #[test]
 fn neyman_with_budget_below_term_count_still_sums_exactly() {
     let spec = QpdSpec::from_parts(&[
-        (0.5, "a", 0.0),
-        (-0.25, "b", 1.0),
-        (0.5, "c", 0.0),
-        (0.25, "d", 1.0),
-        (-0.5, "e", 0.0),
+        (0.5, 0.0),
+        (-0.25, 1.0),
+        (0.5, 0.0),
+        (0.25, 1.0),
+        (-0.5, 0.0),
     ]);
     let sigmas = [1.0, 0.2, 0.0, 0.9, 0.4];
     for total in 0..5u64 {
@@ -215,7 +215,7 @@ fn neyman_with_budget_below_term_count_still_sums_exactly() {
 
 #[test]
 fn proportional_with_budget_below_term_count_still_sums_exactly() {
-    let spec = QpdSpec::from_parts(&[(0.7, "a", 0.0), (-0.2, "b", 1.0), (0.1, "c", 0.0)]);
+    let spec = QpdSpec::from_parts(&[(0.7, 0.0), (-0.2, 1.0), (0.1, 0.0)]);
     for total in 0..3u64 {
         let alloc = Allocator::Proportional.allocate(&spec, total);
         assert_eq!(alloc.iter().sum::<u64>(), total);
@@ -245,7 +245,7 @@ fn largest_remainder_rejects_all_zero_weights() {
 #[test]
 #[should_panic(expected = "per-term σ must be finite and non-negative")]
 fn neyman_names_an_infinite_sigma() {
-    let spec = QpdSpec::from_parts(&[(0.5, "a", 0.0), (0.5, "b", 1.0)]);
+    let spec = QpdSpec::from_parts(&[(0.5, 0.0), (0.5, 1.0)]);
     neyman_allocation(&spec, &[f64::INFINITY, 1.0], 100);
 }
 

@@ -1,11 +1,14 @@
-//! Differential suite for the **contracted fragment-block backend**
-//! (`wirecut::contract`) against the pristine monolithic stitching
-//! reference (`CompiledPlan::compile_monolithic`), pinning ISSUE 9's
-//! acceptance criteria:
+//! Differential suite for the **contracted fragment blocks**
+//! (`wirecut::contract`, the one path `CompiledPlan::compile` runs)
+//! against the stitching oracle (`CompiledPlan::compile_monolithic`):
 //!
 //! * on 20+ randomized circuits (n = 3..6, 1–4 cuts, both NME and
-//!   joint-MUB groups) the two backends agree **per term** to 1e−8 and
-//!   the contracted decomposition equals the uncut statevector to 1e−8;
+//!   joint-MUB groups) the two agree **per term** to 1e−8 and the
+//!   contracted decomposition equals the uncut statevector to 1e−8;
+//! * on seeded random circuits with mid-circuit measurements, resets
+//!   and clbit-conditioned gates — classical bits crossing fragments and
+//!   multi-fragment plans with no cut included — `compile` matches the
+//!   uncut value to 1e−10 and the oracle per term to 1e−8;
 //! * sampled estimates through the contracted path land inside the 5σ
 //!   Wilson band;
 //! * a 6-cut plan from `random_unitary_circuit` compiles and estimates
@@ -13,16 +16,21 @@
 //! * service results on contracted plans stay byte-identical across
 //!   thread counts {1, 2, 7};
 //! * the `fragments_by_width` merge post-pass eliminates the avoidable
-//!   repeated cut (κ reduction pinned on the regression circuit).
+//!   repeated cut (κ reduction pinned on the regression circuit);
+//! * plans over the `MAX_INCOMING` and `MAX_JOINT_WIRES` caps fail to
+//!   compile at once, naming the cap.
 
 use nme_wire_cutting::experiments::plan_cut::tractable_random_circuit;
 use nme_wire_cutting::experiments::stats::qpd_wilson_band;
 use nme_wire_cutting::qpd::{estimate_allocated, Allocator};
-use nme_wire_cutting::qsim::{greedy_fragments, random_unitary_circuit, Circuit, PauliString};
+use nme_wire_cutting::qsim::dag::instruction_clbits;
+use nme_wire_cutting::qsim::{
+    greedy_fragments, random_unitary_circuit, Circuit, Gate, Pauli, PauliString,
+};
 use nme_wire_cutting::wirecut::service::{CutService, EstimationJob};
 use nme_wire_cutting::wirecut::{
-    contraction_ineligibility, supports_contraction, uncut_plan_expectation, CompiledPlan,
-    CutPlanner, FragmentBlocks, PlanBackend, Protocol, SweepStats, MAX_INCOMING, MAX_JOINT_WIRES,
+    contraction_ineligibility, uncut_plan_expectation, CompiledPlan, CutPlanner, FragmentBlocks,
+    Protocol, SweepStats, MAX_INCOMING, MAX_JOINT_WIRES,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +61,7 @@ fn contracted_terms_match_monolithic_and_uncut_on_randomized_circuits() {
         let mut rng = StdRng::seed_from_u64(seed);
         let (circuit, plan) = tractable_random_circuit(n, 5, &planner, 4, &mut rng);
         assert!(
-            supports_contraction(&plan),
+            contraction_ineligibility(&plan).is_none(),
             "n={n} f={f} seed={seed}: unitary plan must contract"
         );
         saw_joint |= plan.groups.iter().any(|g| g.protocol == Protocol::JointMub);
@@ -61,10 +69,8 @@ fn contracted_terms_match_monolithic_and_uncut_on_randomized_circuits() {
 
         let observable = PauliString::from_label(&"Z".repeat(n));
         let uncut = uncut_plan_expectation(&circuit, &observable);
-        let contracted = CompiledPlan::compile_contracted(&plan, &observable);
+        let contracted = CompiledPlan::compile(&plan, &observable);
         let monolithic = CompiledPlan::compile_monolithic(&plan, &observable);
-        assert_eq!(contracted.backend(), PlanBackend::Contracted);
-        assert_eq!(monolithic.backend(), PlanBackend::Monolithic);
 
         // Per-term differential: the tensor contraction reproduces every
         // stitched term expectation, in the same odometer order.
@@ -105,6 +111,104 @@ fn contracted_terms_match_monolithic_and_uncut_on_randomized_circuits() {
     assert!(saw_multi_cut, "grid never produced a multi-cut plan");
 }
 
+/// A random circuit on `n` qubits and `clbits` bits: Ry/Rz rotations,
+/// CX/CZ, mid-circuit measurements, resets, and X or Ry gates
+/// conditioned on a bit. With `paired`, two-qubit gates stay inside the
+/// pairs `{0, 1}`, `{2, 3}`, … so that narrow budgets split the circuit
+/// into fragments with no cut, which only classical bits connect.
+fn random_feedforward_circuit(n: usize, clbits: usize, paired: bool, rng: &mut StdRng) -> Circuit {
+    let mut c = Circuit::new(n, clbits);
+    for _ in 0..8 + rng.gen_range(0..6) {
+        let q = rng.gen_range(0..n);
+        let bit = rng.gen_range(0..clbits);
+        let angle = std::f64::consts::PI * (2.0 * rng.gen::<f64>() - 1.0);
+        let partner = if paired {
+            (q ^ 1).min(n - 1)
+        } else {
+            (q + 1 + rng.gen_range(0..n - 1)) % n
+        };
+        match rng.gen_range(0..9) {
+            0 => c.ry(angle, q),
+            1 => c.rz(angle, q),
+            2 if partner != q => c.cx(q, partner),
+            3 if partner != q => c.cz(q, partner),
+            4 | 5 => c.measure(q, bit),
+            6 => c.reset(q),
+            7 => c.x_if(q, bit),
+            _ => c.gate_if(Gate::Ry(angle), &[q], bit, rng.gen_bool(0.5)),
+        };
+    }
+    c
+}
+
+/// `true` when two fragments of `plan` touch one classical bit.
+fn clbit_crosses_fragments(plan: &nme_wire_cutting::wirecut::CutPlan) -> bool {
+    let instructions = plan.circuit().instructions();
+    let mut owner = vec![None; plan.circuit().num_clbits()];
+    for (fi, frag) in plan.fragments.iter().enumerate() {
+        for &i in &frag.instructions {
+            for bit in instruction_clbits(&instructions[i]) {
+                if *owner[bit].get_or_insert(fi) != fi {
+                    return true;
+                }
+            }
+        }
+    }
+    false
+}
+
+#[test]
+fn every_plan_shape_contracts_exactly_on_random_feedforward_circuits() {
+    let (mut plans, mut crossing, mut uncut_multi) = (0, 0, 0);
+    for seed in 0..120u64 {
+        let mut rng = StdRng::seed_from_u64(0xC1A5 + seed);
+        let n = 3 + rng.gen_range(0..3);
+        let clbits = 1 + rng.gen_range(0..3);
+        let budget = 2 + rng.gen_range(0..n - 2);
+        let overlap = [0.52, 0.8, 1.0][rng.gen_range(0..3)];
+        let circuit = random_feedforward_circuit(n, clbits, rng.gen_bool(0.5), &mut rng);
+        let plan = CutPlanner::new(budget).with_overlap(overlap).plan(&circuit);
+        if plan.num_cuts() > 3 {
+            continue;
+        }
+        let mut letters: Vec<Pauli> = (0..n)
+            .map(|_| [Pauli::I, Pauli::Z][rng.gen_range(0..2)])
+            .collect();
+        letters[rng.gen_range(0..n)] = Pauli::Z;
+        let observable = PauliString::new(letters);
+        let what = format!("seed {seed}: n={n} clbits={clbits} budget={budget} f={overlap}");
+        assert_eq!(contraction_ineligibility(&plan), None, "{what}");
+        let compiled = CompiledPlan::compile(&plan, &observable);
+        let uncut = uncut_plan_expectation(&circuit, &observable);
+        assert!(
+            (compiled.exact_value() - uncut).abs() < 1e-10,
+            "{what}: contracted {} vs uncut {uncut}",
+            compiled.exact_value()
+        );
+        let oracle = CompiledPlan::compile_monolithic(&plan, &observable);
+        let (ct, mt) = (compiled.exact_terms(), oracle.exact_terms());
+        assert_eq!(ct.len(), mt.len(), "{what}");
+        for (i, (c, m)) in ct.iter().zip(&mt).enumerate() {
+            assert!(
+                (c - m).abs() < 1e-8,
+                "{what} term {i}: contracted {c} vs oracle {m}"
+            );
+        }
+        plans += 1;
+        crossing += usize::from(clbit_crosses_fragments(&plan));
+        uncut_multi += usize::from(plan.num_cuts() == 0 && plan.fragments.len() > 1);
+    }
+    // The differential must reach the shapes it exists for.
+    assert!(
+        crossing >= 20,
+        "{crossing} of {plans} plans had a crossing clbit"
+    );
+    assert!(
+        uncut_multi >= 3,
+        "{uncut_multi} of {plans} plans were multi-fragment and uncut"
+    );
+}
+
 #[test]
 fn six_cut_plan_compiles_and_estimates_through_contraction() {
     // The acceptance bar: a ≥6-cut plan from `random_unitary_circuit`
@@ -121,7 +225,7 @@ fn six_cut_plan_compiles_and_estimates_through_contraction() {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = random_unitary_circuit(7, 14, &mut rng);
         let plan = planner.plan(&circuit);
-        if (6..=8).contains(&plan.num_cuts()) && supports_contraction(&plan) {
+        if (6..=8).contains(&plan.num_cuts()) && contraction_ineligibility(&plan).is_none() {
             found = Some((circuit, plan, rng));
             break;
         }
@@ -130,7 +234,6 @@ fn six_cut_plan_compiles_and_estimates_through_contraction() {
     let observable = PauliString::from_label(&"Z".repeat(7));
     let uncut = uncut_plan_expectation(&circuit, &observable);
     let compiled = CompiledPlan::compile(&plan, &observable);
-    assert_eq!(compiled.backend(), PlanBackend::Contracted);
     assert!(compiled.spec.len() >= 3usize.pow(6));
     // Compilation cost is Σ variants, far below the Π terms of the spec.
     let variants: usize = compiled
@@ -220,12 +323,12 @@ fn contracted_service_results_are_byte_identical_across_threads() {
             assert_eq!(r.plan_key, f.plan_key);
         }
     }
-    // Every job's plan, as the shared service cached it, is contracted.
+    // Every job's plan, as the shared service cached it, compiled its
+    // fragment variants.
     for (j, r) in jobs.iter().zip(&reference) {
         let (plan, key, hit) = shared.compiled(&j.circuit, &j.observable);
         assert!(hit);
         assert_eq!(key, r.plan_key);
-        assert_eq!(plan.backend(), PlanBackend::Contracted);
         assert!(plan.backend_report().terms > 0);
     }
 }
@@ -282,7 +385,6 @@ fn six_cut_ladder_prefix_cache_saves_5x_frontier_ops() {
     assert_eq!(plan.num_cuts(), 6, "ladder plan shape drifted");
     let observable = PauliString::from_label(&"Z".repeat(8));
     let compiled = CompiledPlan::compile(&plan, &observable);
-    assert_eq!(compiled.backend(), PlanBackend::Contracted);
     let backend = compiled.backend_report();
     assert!(backend.frontier_ops > 0);
     assert!(
@@ -500,11 +602,7 @@ fn incoming_cap_boundary_pins_eligibility() {
         .plan(&at_cap);
     let incoming = max_incoming(&plan);
     assert_eq!(incoming, MAX_INCOMING, "construction drifted off the cap");
-    assert!(
-        supports_contraction(&plan),
-        "{:?}",
-        contraction_ineligibility(&plan)
-    );
+    assert_eq!(contraction_ineligibility(&plan), None);
 
     let over_cap = reentrant_chain(MAX_INCOMING + 1);
     let plan = CutPlanner::new(MAX_INCOMING + 1)
@@ -513,7 +611,7 @@ fn incoming_cap_boundary_pins_eligibility() {
     assert_eq!(max_incoming(&plan), MAX_INCOMING + 1);
     let reason = contraction_ineligibility(&plan).expect("over-cap plan must be rejected");
     assert!(reason.contains("MAX_INCOMING"), "unnamed reason: {reason}");
-    assert!(!supports_contraction(&plan));
+    assert_compile_panics_naming(&plan, "MAX_INCOMING");
 }
 
 #[test]
@@ -528,11 +626,7 @@ fn joint_width_boundary_pins_eligibility() {
         .plan(&at_cap);
     let widest = widest_joint(&plan);
     assert_eq!(widest, MAX_JOINT_WIRES, "construction drifted off the cap");
-    assert!(
-        supports_contraction(&plan),
-        "{:?}",
-        contraction_ineligibility(&plan)
-    );
+    assert_eq!(contraction_ineligibility(&plan), None);
 
     let over_cap = reentrant_chain(MAX_JOINT_WIRES + 2);
     let plan = CutPlanner::new(MAX_JOINT_WIRES + 2)
@@ -541,7 +635,25 @@ fn joint_width_boundary_pins_eligibility() {
     assert_eq!(widest_joint(&plan), MAX_JOINT_WIRES + 1);
     let reason = contraction_ineligibility(&plan).expect("over-cap plan must be rejected");
     assert!(reason.contains("jointly"), "unnamed reason: {reason}");
-    assert!(!supports_contraction(&plan));
+    assert_compile_panics_naming(&plan, "jointly");
+}
+
+/// `CompiledPlan::compile` on an over-cap `plan` fails at once, with a
+/// panic message naming the cap.
+fn assert_compile_panics_naming(plan: &nme_wire_cutting::wirecut::CutPlan, cap: &str) {
+    let observable = PauliString::from_label(&"Z".repeat(plan.circuit().num_qubits()));
+    let panic = std::panic::catch_unwind(|| CompiledPlan::compile(plan, &observable))
+        .err()
+        .expect("an over-cap plan must not compile");
+    let message = panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(
+        message.contains(cap),
+        "panic does not name {cap}: {message}"
+    );
 }
 
 fn max_incoming(plan: &nme_wire_cutting::wirecut::CutPlan) -> usize {
@@ -563,11 +675,10 @@ fn widest_joint(plan: &nme_wire_cutting::wirecut::CutPlan) -> usize {
 
 #[test]
 fn measurement_fragment_plan_contracts_and_matches_monolithic() {
-    // ISSUE 10's behaviour change: a measurement/feed-forward plan
-    // whose classical bits stay fragment-local used to force
-    // PlanBackend::Monolithic; it now contracts (the block sums over
-    // outcome branches) and its per-term values must match the
-    // monolithic reference to 1e−8.
+    // A measurement/feed-forward plan whose classical bits stay
+    // fragment-local contracts (the block sums over outcome branches),
+    // and its per-term values must match the monolithic reference to
+    // 1e−8.
     let mut measured = Circuit::new(3, 1);
     measured.ry(0.4, 0).cx(0, 1).cx(1, 2).measure(2, 0);
     // Measure and the conditioned gate both live in the final {2, 3}
@@ -583,15 +694,9 @@ fn measurement_fragment_plan_contracts_and_matches_monolithic() {
     for (circuit, label) in [(measured, "ZZI"), (feedforward, "ZZZZ")] {
         let plan = CutPlanner::new(2).plan(&circuit);
         assert!(!plan.groups.is_empty());
-        assert!(
-            supports_contraction(&plan),
-            "{:?}",
-            contraction_ineligibility(&plan)
-        );
+        assert_eq!(contraction_ineligibility(&plan), None);
         let observable = PauliString::from_label(label);
         let compiled = CompiledPlan::compile(&plan, &observable);
-        assert_eq!(compiled.backend(), PlanBackend::Contracted);
-        assert_eq!(compiled.fallback_reason(), None);
         let mono = CompiledPlan::compile_monolithic(&plan, &observable);
         let ct = compiled.exact_terms();
         let mt = mono.exact_terms();

@@ -19,7 +19,7 @@ use nme_wire_cutting::experiments::service_load::{build_jobs, ServiceLoadConfig}
 use nme_wire_cutting::qpd::{Allocator, SequentialAllocator};
 use nme_wire_cutting::qsample::{KeyHasher, StreamRng};
 use nme_wire_cutting::qsim::{Circuit, PauliString};
-use nme_wire_cutting::wirecut::planner::{CutPlanner, PlanBackend};
+use nme_wire_cutting::wirecut::planner::CutPlanner;
 use nme_wire_cutting::wirecut::service::{
     AllocationMode, BatchUpdate, CutService, EstimationJob, JobOutcome,
 };
@@ -415,10 +415,10 @@ fn six_cut_ladder() -> Circuit {
     c
 }
 
-/// The plans the contraction does not cover, each with the planner that
-/// plans it so: a clbit shared between fragments (cross-fragment
-/// feed-forward) at width 2, and a 3-qubit ladder with nothing to cut
-/// at width 3.
+/// The plan shapes the contraction once left to stitching, each with the
+/// planner that plans it so: a clbit shared between fragments
+/// (cross-fragment feed-forward) at width 2, and a 3-qubit ladder with
+/// nothing to cut at width 3.
 fn fallback_requests() -> [(CutPlanner, Circuit, PauliString); 2] {
     let mut ff = Circuit::new(3, 1);
     ff.ry(0.4, 0).cx(0, 1).measure(1, 0).cx(1, 2).x_if(2, 0);
@@ -449,7 +449,8 @@ fn run_job_follows_the_lane_law_bit_for_bit() {
             assert_follows_the_lane_law(&svc, &job, &out);
         }
     }
-    // Monolithic fallback plans draw from the same law on the same lanes.
+    // Classical-axis and uncut plans draw from the same law on the same
+    // lanes.
     for (planner, circuit, observable) in fallback_requests() {
         let svc = CutService::new(planner);
         for mode in MODES {
@@ -460,8 +461,6 @@ fn run_job_follows_the_lane_law_bit_for_bit() {
                     .with_mode(mode);
                 let out = svc.run_job(&job);
                 assert!(!out.cache_hit);
-                let (plan, _, _) = svc.compiled(&job.circuit, &job.observable);
-                assert_eq!(plan.backend(), PlanBackend::Monolithic);
                 assert_follows_the_lane_law(&svc, &job, &out);
             }
         }
