@@ -1,12 +1,17 @@
 //! Performance microbenches for the QPD sampling stack: compiled
-//! branch-tree shot sampling, the estimators, the checkpointed sweep and
-//! cut compilation.
+//! branch-tree shot sampling, the estimators, the checkpointed sweep,
+//! cut compilation and one batch of a cut plan's term draws.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qpd::{estimate_allocated, estimate_stochastic, proportional_sweep, Allocator, TermSampler};
-use qsim::Pauli;
+use qpd::{
+    estimate_allocated, estimate_stochastic, proportional_sweep, Allocator, BernoulliTerm,
+    SequentialAllocator, TermSampler,
+};
+use qsample::StreamRng;
+use qsim::{Circuit, Pauli, PauliString};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use wirecut::planner::{CompiledPlan, CutPlanner};
 use wirecut::{NmeCut, PreparedCut};
 
 fn prepared_cut() -> PreparedCut {
@@ -134,11 +139,61 @@ fn cut_compilation(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 10-qubit ry/CX ladder planned at width 2 and overlap 0.9: 8 NME
+/// cuts and 6561 product terms, the shape of the repository
+/// benchmark's cold jobs.
+fn ladder_plan() -> CompiledPlan {
+    let n = 10;
+    let angle = |i: usize| 0.17 + 0.29 * i as f64;
+    let mut c = Circuit::new(n, 0);
+    c.ry(angle(0), 0);
+    for q in 0..n - 1 {
+        c.ry(angle(2 * q + 1), q + 1);
+        c.cx(q, q + 1);
+        c.ry(angle(2 * q + 2), q + 1);
+    }
+    let plan = CutPlanner::new(2).with_overlap(0.9).plan(&c);
+    CompiledPlan::compile(&plan, &PauliString::from_label(&"Z".repeat(n)))
+}
+
+/// One batch of a cold job's term draws: the first `Sequential` batch
+/// (2¹⁴ shots over all 6561 terms) drawn through the batch kernel
+/// (`BernoulliTerm::sample_batch`) and through the per-term
+/// `sample_observable_sum` loop on `derive(&[batch, term])` lanes. The
+/// two draw the same sums, which the set-up checks.
+fn batch_draws(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qsample/batch_draws");
+    let plan = ladder_plan();
+    let terms = plan.plan_terms();
+    let shots = SequentialAllocator::new(terms.len()).next_allocation(&plan.spec, 1 << 14);
+    let root = StreamRng::new(0x5EED, 0xD1CE);
+    let kernel = || {
+        let mut total = 0.0;
+        BernoulliTerm::sample_batch(terms, &shots, &root.split(0), |_, sum| total += sum);
+        total
+    };
+    let per_term = || {
+        let mut total = 0.0;
+        for (term, (t, &n)) in terms.iter().zip(&shots).enumerate() {
+            if n != 0 {
+                total += t.sample_observable_sum(n, &mut root.derive(&[0, term as u64]));
+            }
+        }
+        total
+    };
+    assert_eq!(kernel().to_bits(), per_term().to_bits());
+    group.throughput(Throughput::Elements(terms.len() as u64));
+    group.bench_function("kernel", |b| b.iter(kernel));
+    group.bench_function("per_term", |b| b.iter(per_term));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     shot_sampling,
     estimator_modes,
     sweep,
-    cut_compilation
+    cut_compilation,
+    batch_draws
 );
 criterion_main!(benches);

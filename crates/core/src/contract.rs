@@ -90,7 +90,8 @@ use qsim::{
     fragment_circuit, BranchLeaf, Circuit, CompiledSampler, Pauli, PauliString, StateVector,
     Superoperator,
 };
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Hard cap on a fragment's incoming frontier axes — cut wires plus
 /// received classical bits. It bounds the block at the `6^MAX_INCOMING`
@@ -228,9 +229,9 @@ pub fn contraction_ineligibility(plan: &CutPlan) -> Option<String> {
 }
 
 /// One cut group's Pauli transfer matrices, one per QPD term, in the
-/// exact order [`CutGroup::terms`] enumerates them. The tables are
-/// shared between the groups of one build that use the same term family
-/// (see [`group_transfers`]).
+/// exact order [`CutGroup::terms`] enumerates them. Groups of one term
+/// family share one table: NME tables process-wide per `k`, joint-MUB
+/// tables within one build (see [`group_transfers`]).
 enum GroupTransfer {
     /// NME groups factorise per wire: every wire shares the same
     /// single-wire term family (`[[f64; 4]; 4]` PTM per term), and the
@@ -331,24 +332,17 @@ fn joint_transfer_diagonals(n: usize) -> Vec<Vec<f64>> {
 }
 
 /// Builds every group's transfer matrices from its protocol, each
-/// distinct term family once: NME groups at the same `k` share one
-/// per-wire PTM table (the process tomography of the three term
-/// circuits runs once, not once per group), and joint-MUB groups of the
-/// same width share one set of diagonals.
+/// distinct term family once: NME groups share their `k`'s process-wide
+/// per-wire PTM table ([`nme_transfers`]), and joint-MUB groups of the
+/// same width share one set of diagonals per build.
 fn group_transfers(groups: &[CutGroup]) -> Vec<GroupTransfer> {
-    let (mut nme, mut joint) = (Vec::new(), Vec::new());
+    let mut joint = Vec::new();
     groups
         .iter()
         .map(|g| match g.protocol {
             Protocol::Nme { k } => GroupTransfer::PerWire {
                 wires: g.num_wires(),
-                per_term: shared(&mut nme, k.to_bits(), || {
-                    NmeCut::new(k)
-                        .terms()
-                        .iter()
-                        .map(|t| ptm_1q(&term_channel(t)))
-                        .collect()
-                }),
+                per_term: nme_transfers(k),
             },
             Protocol::JointMub => GroupTransfer::Joint {
                 diags: shared(&mut joint, g.num_wires(), || {
@@ -357,6 +351,26 @@ fn group_transfers(groups: &[CutGroup]) -> Vec<GroupTransfer> {
             },
         })
         .collect()
+}
+
+/// The single-wire PTMs of `NmeCut::new(k)`'s three terms, in term
+/// order. The process tomography of the term circuits runs once per
+/// process for each `k` (keyed by its bits): every later build at that
+/// `k` shares the table, the way [`crate::mub::mub_bases`] memoizes its
+/// bases. A table is 384 bytes, one per distinct overlap planned.
+fn nme_transfers(k: f64) -> Arc<[[[f64; 4]; 4]]> {
+    type Tables = HashMap<u64, Arc<[[[f64; 4]; 4]]>>;
+    static CACHE: OnceLock<Mutex<Tables>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    let mut guard = cache.lock().expect("NME transfer cache poisoned");
+    let table = guard.entry(k.to_bits()).or_insert_with(|| {
+        NmeCut::new(k)
+            .terms()
+            .iter()
+            .map(|t| ptm_1q(&term_channel(t)))
+            .collect()
+    });
+    Arc::clone(table)
 }
 
 /// The `memo` entry for `key`, built by `build` on first use.
@@ -1331,6 +1345,29 @@ mod tests {
                 _ => panic!("group {i} changed kind"),
             }
         }
+    }
+
+    #[test]
+    fn nme_transfer_tables_are_shared_across_builds() {
+        // Two builds at one k share one process-wide table; a second k
+        // gets its own.
+        let nme = |k: f64| CutGroup {
+            cuts: vec![crate::planner::PlannedCut {
+                wire: 0,
+                source_fragment: 0,
+                dest_fragment: 1,
+            }],
+            protocol: Protocol::Nme { k },
+            kappa: 1.0,
+        };
+        let table = |k: f64| match group_transfers(&[nme(k)]).swap_remove(0) {
+            GroupTransfer::PerWire { per_term, .. } => per_term,
+            GroupTransfer::Joint { .. } => panic!("an NME group builds per-wire tables"),
+        };
+        let (k, other) = (0.3125, 0.6875);
+        let first = table(k);
+        assert!(Arc::ptr_eq(&first, &table(k)));
+        assert!(!Arc::ptr_eq(&first, &table(other)));
     }
 
     #[test]

@@ -766,7 +766,14 @@ impl CompiledPlan {
             backend_report,
             fragment_summaries,
         };
-        compiled.exact = qpd::exact_value(&compiled.spec, &compiled.samplers());
+        assert_eq!(compiled.spec.len(), compiled.terms.len());
+        compiled.exact = compiled
+            .spec
+            .terms()
+            .iter()
+            .zip(&compiled.terms)
+            .map(|(t, s)| t.coefficient * s.exact_expectation())
+            .sum();
         if cfg!(debug_assertions) {
             compiled
                 .verify_groups(1e-8)

@@ -57,6 +57,12 @@
 //! lane(job, batch, term) = StreamRng::new(job.seed, plan_key).derive(&[batch, term])
 //! ```
 //!
+//! The batch loop takes this lane as `root.split(batch).split(term)`,
+//! the same stream, deriving the batch level once per batch. It draws a
+//! whole batch through [`qpd::BernoulliTerm::sample_batch`], i.e. the
+//! [`qsample::binomial_batch`] kernel, whose every variate and RNG word
+//! are those of the term's scalar draw on its lane.
+//!
 //! Nothing about scheduling (thread ids, completion order, cache
 //! hit/miss history, which job a worker served before) enters the stream
 //! address, and neither does the cache's keyed digest, which differs per
@@ -70,7 +76,7 @@
 
 use crate::planner::{CompiledPlan, CutPlanner, PlanKey};
 use parking_lot::Mutex;
-use qpd::{Allocator, SequentialAllocator, TermSampler};
+use qpd::{Allocator, BernoulliTerm, SequentialAllocator};
 use qsample::{ShardedGrid, StreamRng};
 use qsim::{Circuit, PauliString};
 use std::collections::hash_map::RandomState;
@@ -434,17 +440,17 @@ fn run_compiled<F: FnMut(&BatchUpdate)>(
             AllocationMode::StaticUniform => Allocator::Uniform.allocate(&plan.spec, budget),
             AllocationMode::Sequential => seq.next_allocation(&plan.spec, budget),
         };
-        for (term, &n) in allocation.iter().enumerate() {
-            if n == 0 {
-                continue;
+        // The whole determinism contract in one call: term `t` draws on
+        // lane `root.split(batch).split(t)`, i.e. `derive(&[batch, t])`,
+        // addressed by content (seed, plan key, batch, term) and nothing
+        // else. `root` only saves recomputing the seed's round keys per
+        // lane, and the batch level is derived once per batch.
+        BernoulliTerm::sample_batch(terms, &allocation, &root.split(batch), |term, sum| {
+            let n = allocation[term];
+            if n != 0 {
+                seq.record(term, sum, n);
             }
-            // The whole determinism contract in one line: the lane is
-            // addressed by content (seed, plan key, batch, term) and
-            // nothing else. `root` only saves recomputing the seed's
-            // round keys per lane.
-            let mut lane = root.derive(&[batch, term as u64]);
-            seq.record(term, terms[term].sample_observable_sum(n, &mut lane), n);
-        }
+        });
         let update = BatchUpdate {
             batch,
             shots_used: budget,

@@ -17,7 +17,7 @@
 
 use crate::allocator::Allocator;
 use crate::spec::QpdSpec;
-use qsample::Binomial;
+use qsample::{Binomial, StreamRng};
 use rand::Rng;
 
 /// One executable QPD term: draws single-shot observable samples (±1 for
@@ -260,6 +260,34 @@ impl BernoulliTerm {
             law: Binomial::new(((1.0 + expectation) / 2.0).clamp(0.0, 1.0)),
         }
     }
+
+    /// Draws one batch of every term's sample sum: `terms[i]` spends
+    /// `shots[i]` shots on lane `root.split(i)`, and `record(i, sum)`
+    /// receives each sum in term order (`0.0` for a zero-shot term).
+    /// Every sum has the bits of
+    /// `terms[i].sample_observable_sum(shots[i], &mut root.split(i))`,
+    /// and every lane reads the same RNG words; the draws go through
+    /// [`qsample::binomial_batch`] instead of one dynamic call per term.
+    ///
+    /// # Panics
+    /// Panics if `terms` and `shots` differ in length.
+    pub fn sample_batch(
+        terms: &[BernoulliTerm],
+        shots: &[u64],
+        root: &StreamRng,
+        mut record: impl FnMut(usize, f64),
+    ) {
+        assert_eq!(terms.len(), shots.len(), "one shot count per term");
+        let draws = terms.iter().map(|t| &t.law).zip(shots.iter().copied());
+        qsample::binomial_batch(draws, root, |i, plus| {
+            record(i, plus_minus_sum(plus, shots[i]))
+        });
+    }
+}
+
+/// The sum of `shots` ±1 outcomes, `plus` of them `+1`.
+fn plus_minus_sum(plus: u64, shots: u64) -> f64 {
+    2.0 * plus as f64 - shots as f64
 }
 
 impl TermSampler for BernoulliTerm {
@@ -273,9 +301,7 @@ impl TermSampler for BernoulliTerm {
     }
 
     fn sample_observable_sum(&self, shots: u64, rng: &mut dyn rand::RngCore) -> f64 {
-        let plus = self.law.sample(shots, rng);
-        // `plus` outcomes of +1, the rest −1.
-        2.0 * plus as f64 - shots as f64
+        plus_minus_sum(self.law.sample(shots, rng), shots)
     }
 
     fn exact_expectation(&self) -> f64 {
@@ -614,6 +640,46 @@ mod tests {
             }
             prop_assert_eq!(term.exact_expectation().to_bits(), e.to_bits());
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A batch draw records, in term order, the bits each term's
+        /// `sample_observable_sum` draws on its own lane `root.split(i)`.
+        #[test]
+        fn batch_draw_matches_the_per_term_sums(
+            terms in proptest::collection::vec(
+                (
+                    prop_oneof![-1.0f64..1.0, (0..NAMED_ES.len()).prop_map(|i| NAMED_ES[i])],
+                    prop_oneof![0u64..5, 0u64..41, 0u64..1_000_001],
+                ),
+                0..150,
+            ),
+            stream in 0u64..1 << 40,
+        ) {
+            let root = qsample::StreamRng::new(0xBA7C, stream);
+            let laws: Vec<BernoulliTerm> = terms.iter().map(|&(e, _)| BernoulliTerm::new(e)).collect();
+            let shots: Vec<u64> = terms.iter().map(|&(_, n)| n).collect();
+            let mut got = Vec::with_capacity(terms.len());
+            BernoulliTerm::sample_batch(&laws, &shots, &root, |i, sum| got.push((i, sum.to_bits())));
+            let want: Vec<(usize, u64)> = laws
+                .iter()
+                .zip(&shots)
+                .enumerate()
+                .map(|(i, (t, &n))| {
+                    (i, t.sample_observable_sum(n, &mut root.split(i as u64)).to_bits())
+                })
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one shot count per term")]
+    fn batch_draw_needs_one_shot_count_per_term() {
+        let root = qsample::StreamRng::new(1, 2);
+        BernoulliTerm::sample_batch(&[BernoulliTerm::new(0.1)], &[], &root, |_, _| {});
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! terms implement [`TermSampler`] (in this workspace, compiled wire-cut
 //! subcircuits from the `wirecut` crate). A term whose exact value is
 //! known needs nothing more than [`BernoulliTerm`], the ±1 law that
-//! value fixes; every compiled cut plan's terms are `BernoulliTerm`s.
+//! value fixes; every compiled cut plan's terms are `BernoulliTerm`s,
+//! and [`BernoulliTerm::sample_batch`] draws a whole batch of them, one
+//! counter-based lane per term.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,6 +14,11 @@
 //!   (*Binomial random variate generation*, CACM 31(2), 1988); `O(1)`
 //!   expected cost per draw regardless of `n`, used otherwise.
 //!
+//! Both sit behind one prepared law, [`Binomial`]. [`binomial_batch`]
+//! draws a whole batch of such laws, each on its own [`StreamRng`] lane,
+//! with the same variates and RNG words as the scalar law term by term,
+//! in chunked passes that keep the BINV walks apart from their set-up.
+//!
 //! [`multinomial`] composes [`binomial`] through the conditional-binomial
 //! decomposition: `n₁ ~ B(n, p₁)`, `n₂ ~ B(n−n₁, p₂/(1−p₁))`, … which is
 //! exactly multinomially distributed and costs `O(k)` binomial draws for
@@ -66,6 +71,15 @@ pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 /// `min(p, 1−p)`, BINV's odds ratio `s = p/q` and `ln q`. [`binomial`]
 /// prepares one per call; callers drawing repeatedly at one `p` keep
 /// theirs and get the same variates from the same RNG words.
+///
+/// There is one law and one BINV walk. [`Binomial::sample`] is the
+/// scalar form: below `n·min(p, 1−p) = 10` it walks the pmf upward from
+/// 0 (BINV), above it it runs BTPE. The walk's first three steps
+/// (x = 0, 1, 2) take no division and no per-step branch, because
+/// `a/1` and `a/2` are exact, and keep the bits of the plain
+/// `f(x) = f(x−1)·(a/x − s)` loop. [`binomial_batch`] draws a whole
+/// batch of laws, one lane each, through the same walk; this scalar law,
+/// run lane by lane, is its oracle.
 #[derive(Clone, Copy, Debug)]
 pub struct Binomial {
     /// `p > ½`: draws sample `B(n, 1−p)` and mirror to `n − x`.
@@ -100,50 +114,203 @@ impl Binomial {
 
     /// Draws one variate `B(n, p)`.
     pub fn sample<R: Rng + ?Sized>(&self, n: u64, rng: &mut R) -> u64 {
-        // p ∈ {0, 1} leaves no mass off one end: 0 successes, mirrored
-        // to n when p = 1.
-        let result = if n == 0 || self.p == 0.0 {
+        let result = if self.walks(n) {
+            self.binv(n, rng)
+        } else if n == 0 || self.p == 0.0 {
+            // p ∈ {0, 1} leaves no mass off one end: 0 successes,
+            // mirrored to n when p = 1.
             0
-        } else if (n as f64) * self.p < BINV_THRESHOLD {
-            // BINV is valid for any n (the walk length only depends on
-            // n·p); BTPE's region geometry needs n·p·q large, which the
-            // threshold guarantees.
-            binv(n, self.p, self.s, self.ln_q, rng)
         } else {
             btpe(n, self.p, rng)
         };
-        if self.flipped {
-            n - result
-        } else {
-            result
+        self.mirror(n, result)
+    }
+
+    /// Whether a draw at `n` walks the pmf (BINV): there is mass to
+    /// place and `n·min(p, 1−p)` is below [`BINV_THRESHOLD`]. BINV is
+    /// valid for any n (the walk length only depends on n·p); BTPE's
+    /// region geometry needs n·p·q large, which the threshold
+    /// guarantees.
+    fn walks(&self, n: u64) -> bool {
+        n != 0 && self.p != 0.0 && (n as f64) * self.p < BINV_THRESHOLD
+    }
+
+    /// BINV: invert the CDF by walking the pmf upward from 0, one
+    /// [`walk`](Self::walk) per uniform, redrawing while rounding
+    /// exhausts the pmf.
+    fn binv<R: Rng + ?Sized>(&self, n: u64, rng: &mut R) -> u64 {
+        let r0 = self.q_pow(n);
+        loop {
+            if let Some(x) = self.walk(n, rng.gen(), r0) {
+                return x;
+            }
         }
     }
-}
 
-/// BINV: invert the CDF by walking the pmf upward from 0 using the
-/// recurrence `f(x+1) = f(x)·(a/(x+1) − s)`, with `s = p/q` and `ln q`
-/// taken from the prepared [`Binomial`].
-fn binv<R: Rng + ?Sized>(n: u64, p: f64, s: f64, ln_q: f64, rng: &mut R) -> u64 {
-    debug_assert!(p <= 0.5);
-    let a = (n as f64 + 1.0) * s;
-    // q^n via exp(n·ln q): well-conditioned here because n·p < 10 and
-    // p ≤ ½ keep n·ln q > −14, and it works for any u64 n (powi would
-    // overflow its i32 exponent).
-    let r0 = ((n as f64) * ln_q).exp();
-    loop {
-        let mut r = r0;
-        let mut u: f64 = rng.gen();
-        let mut x = 0u64;
+    /// BINV's `f(0) = qⁿ`, via exp(n·ln q): well-conditioned here
+    /// because n·p < 10 and p ≤ ½ keep n·ln q > −14, and it works for
+    /// any u64 n (powi would overflow its i32 exponent).
+    fn q_pow(&self, n: u64) -> f64 {
+        ((n as f64) * self.ln_q).exp()
+    }
+
+    /// One BINV walk from the uniform `u`: the least `x` with
+    /// `u < f(0) + … + f(x)`, found by subtracting
+    /// `f(x) = f(x−1)·(a/x − s)` from `u` step by step (`a = (n+1)·s`,
+    /// `f(0) = r0`), or `None` when rounding exhausts the pmf before
+    /// [`BINV_MAX_X`].
+    ///
+    /// Steps x = 0, 1 and 2 take no division and no per-step branch:
+    /// `a/1.0` is `a` and `a/2.0` is `a·0.5` bit for bit (division and
+    /// multiplication are both correctly rounded, subnormals included),
+    /// so `r1` and `r2` are the loop's own `f(1)` and `f(2)`, and `u1`,
+    /// `u2` its own remainders. The first failed comparison picks the
+    /// variate; only when all three pass does the loop resume at x = 3.
+    #[inline]
+    fn walk(&self, n: u64, u: f64, r0: f64) -> Option<u64> {
+        let s = self.s;
+        let a = (n as f64 + 1.0) * s;
+        let r1 = r0 * (a - s);
+        let r2 = r1 * (a * 0.5 - s);
+        let u1 = u - r0;
+        let u2 = u1 - r1;
+        // Every operand is finite (u ∈ [0, 1), f(0) = qⁿ ∈ (0, 1]), so
+        // `u ≥ r` is exactly the loop's `!(u < r)`.
+        let (c0, c1, c2) = (u >= r0, u1 >= r1, u2 >= r2);
+        if !(c0 & c1 & c2) {
+            return Some(c0 as u64 + (c0 & c1) as u64);
+        }
+        let mut u = u2 - r2;
+        let mut r = r2 * (a / 3.0 - s);
+        let mut x = 3u64;
         loop {
             if u < r {
-                return x;
+                return Some(x);
             }
             u -= r;
             x += 1;
             if x > BINV_MAX_X {
-                break; // pmf exhausted by rounding — redraw
+                return None;
             }
             r *= a / (x as f64) - s;
+        }
+    }
+
+    /// A draw `x` of the small half, as a draw of the law.
+    fn mirror(&self, n: u64, x: u64) -> u64 {
+        if self.flipped {
+            n - x
+        } else {
+            x
+        }
+    }
+}
+
+/// Terms [`binomial_batch`] takes through its passes at once. Its
+/// buffers are stack arrays of this many lanes, so a batch of any size
+/// draws without touching the heap. Sixteen lanes already keep a pass
+/// busy; every extra lane is zeroed on each call, which a batch of a
+/// few terms pays for: on a 2-vCPU x86-64 VM, 64 lanes drew the 9-term
+/// batches of a warm E18 fleet about 7 % slower than 16 did.
+const CHUNK: usize = 16;
+
+/// A BINV draw of [`binomial_batch`] between its passes.
+#[derive(Clone, Copy)]
+struct BinvLane<'a> {
+    /// The draw's position in its chunk.
+    slot: usize,
+    law: &'a Binomial,
+    n: u64,
+    /// The lane's first uniform.
+    u: f64,
+    /// `f(0) = qⁿ`.
+    r0: f64,
+}
+
+/// The law every unused [`BinvLane`] slot points at.
+const IDLE: Binomial = Binomial {
+    flipped: false,
+    p: 0.0,
+    s: 0.0,
+    ln_q: 0.0,
+};
+
+/// Draws a batch of binomial variates: the `i`-th `(law, n)` draws
+/// `B(n, p)` on its own lane `root.split(i)`, and `out(i, x)` receives
+/// every variate, in draw order. Nothing outside the call can tell it
+/// from the scalar law run draw by draw,
+///
+/// ```text
+/// for (i, (law, n)) in draws.enumerate() {
+///     out(i, law.sample(n, &mut root.split(i)))
+/// }
+/// ```
+///
+/// — each lane reads the same RNG words and yields the same variate.
+/// Only the order of the work differs. The draws go through in
+/// fixed-size chunks held in stack buffers, so the call allocates
+/// nothing. In each chunk, the BINV draws run in three passes: every
+/// lane's first uniform, then every `qⁿ`, then every walk, so the walks'
+/// unpredictable exits no longer stall the hashing and the `exp`s.
+/// Draws in the BTPE regime, and draws with no mass to
+/// place (`n = 0` or `p ∈ {0, 1}`), take the scalar law on their lane
+/// at once. A BINV lane whose first walk exhausts the pmf by rounding
+/// goes to the scalar law too, on a fresh copy of its lane: that walks
+/// the same first uniform to the same end and continues from the lane's
+/// second word, exactly as the lane would have.
+pub fn binomial_batch<'a>(
+    draws: impl IntoIterator<Item = (&'a Binomial, u64)>,
+    root: &StreamRng,
+    mut out: impl FnMut(usize, u64),
+) {
+    let mut draws = draws.into_iter();
+    let mut x = [0u64; CHUNK];
+    let mut lanes = [BinvLane {
+        slot: 0,
+        law: &IDLE,
+        n: 0,
+        u: 0.0,
+        r0: 0.0,
+    }; CHUNK];
+    for base in (0..).step_by(CHUNK) {
+        let rng_of = |slot: usize| root.split((base + slot) as u64);
+        // Pass 1: the scalar draws, and every BINV lane's first uniform.
+        let (mut len, mut m) = (0, 0);
+        for (law, n) in draws.by_ref().take(CHUNK) {
+            if law.walks(n) {
+                lanes[m] = BinvLane {
+                    slot: len,
+                    law,
+                    n,
+                    u: rng_of(len).gen(),
+                    r0: 0.0,
+                };
+                m += 1;
+            } else {
+                x[len] = law.sample(n, &mut rng_of(len));
+            }
+            len += 1;
+        }
+        // Pass 2: every f(0) = qⁿ.
+        for lane in &mut lanes[..m] {
+            lane.r0 = lane.law.q_pow(lane.n);
+        }
+        // Pass 3: every walk.
+        for lane in &lanes[..m] {
+            let (law, n) = (lane.law, lane.n);
+            x[lane.slot] = match law.walk(n, lane.u, lane.r0) {
+                Some(v) => law.mirror(n, v),
+                // Rounding exhausted the pmf: the scalar law replays the
+                // lane, walks the same uniform to the same end, and
+                // redraws from the lane's second word on.
+                None => law.sample(n, &mut rng_of(lane.slot)),
+            };
+        }
+        for (k, &v) in x[..len].iter().enumerate() {
+            out(base + k, v);
+        }
+        if len < CHUNK {
+            break;
         }
     }
 }
@@ -681,12 +848,69 @@ mod tests {
         1.0 - 1e-12,
     ];
 
+    /// The largest `n` with `n·min(p, 1−p)` below 10 — the last BINV
+    /// count before BTPE takes over — or `None` at p ∈ {0, 1}.
+    fn binv_edge(p: f64) -> Option<u64> {
+        let small = if p > 0.5 { 1.0 - p } else { p };
+        if small == 0.0 {
+            return None;
+        }
+        let mut n = (BINV_THRESHOLD / small) as u64;
+        while n > 0 && n as f64 * small >= BINV_THRESHOLD {
+            n -= 1;
+        }
+        while (n + 1) as f64 * small < BINV_THRESHOLD {
+            n += 1;
+        }
+        Some(n)
+    }
+
+    /// Hands out `first`, then the words of `rest`, counting every word.
+    #[derive(Clone)]
+    struct Scripted {
+        first: Option<u64>,
+        rest: StreamRng,
+        words: u64,
+    }
+
+    impl Scripted {
+        fn new(first: u64, rest: StreamRng) -> Self {
+            Scripted {
+                first: Some(first),
+                rest,
+                words: 0,
+            }
+        }
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.first.take().unwrap_or_else(|| self.rest.next_u64())
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for chunk in dest.chunks_mut(8) {
+                let bytes = self.next_u64().to_le_bytes();
+                chunk.copy_from_slice(&bytes[..chunk.len()]);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// A prepared law draws the oracle's variates and consumes the
         /// same number of RNG words, draw after draw, on both sides of
-        /// the BINV/BTPE switch at `n·min(p, 1−p) = 10`.
+        /// the BINV/BTPE switch at `n·min(p, 1−p) = 10` (including the
+        /// counts right at it), and again when the first word is
+        /// `u64::MAX`: the uniform 1 − 2⁻⁵³ lies past the rounded pmf
+        /// total of many BINV laws, so their first walk exhausts and
+        /// the redraw path runs.
         #[test]
         fn prepared_law_matches_the_oracle(
             p in prop_oneof![
@@ -698,6 +922,8 @@ mod tests {
             stream in 0u64..1 << 40,
         ) {
             let law = Binomial::new(p);
+            let edge = binv_edge(p).map(|n| [n, n + 1]);
+            let ns: Vec<u64> = ns.iter().copied().chain(edge.into_iter().flatten()).collect();
             let mut expected = StreamRng::new(0xB1A5, stream);
             let mut prepared = expected.clone();
             let mut wrapped = expected.clone();
@@ -707,6 +933,85 @@ mod tests {
                 prop_assert_eq!(binomial(n, p, &mut wrapped), x, "B({}, {})", n, p);
                 prop_assert_eq!(prepared.position(), expected.position());
                 prop_assert_eq!(wrapped.position(), expected.position());
+
+                let mut scripted_oracle = Scripted::new(u64::MAX, StreamRng::new(0x5C41, stream));
+                let mut scripted = scripted_oracle.clone();
+                let x = oracle::binomial(n, p, &mut scripted_oracle);
+                prop_assert_eq!(law.sample(n, &mut scripted), x, "B({}, {}) from u64::MAX", n, p);
+                prop_assert_eq!(scripted.words, scripted_oracle.words);
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_word_of_u64_max_exhausts_the_walk() {
+        // The proptest above only covers the redraw path if some BINV
+        // law really walks past its rounded pmf total at 1 − 2⁻⁵³: count
+        // them on a fixed grid.
+        let mut redraws = 0;
+        for n in 1..=40u64 {
+            for p in [0.05, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7] {
+                let mut expected = Scripted::new(u64::MAX, StreamRng::new(0x5C41, n));
+                let mut prepared = expected.clone();
+                let x = oracle::binomial(n, p, &mut expected);
+                assert_eq!(Binomial::new(p).sample(n, &mut prepared), x, "B({n}, {p})");
+                assert_eq!(prepared.words, expected.words, "B({n}, {p})");
+                if Binomial::new(p).walks(n) && expected.words > 1 {
+                    redraws += 1;
+                }
+            }
+        }
+        assert!(
+            redraws >= 10,
+            "only {redraws} BINV walks exhausted at 1 − 2⁻⁵³"
+        );
+    }
+
+    /// Batch sizes around the chunk boundary, and a whole 8-cut plan.
+    const BATCH_LENS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 6561];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The batch kernel reports, in term order, the variate the
+        /// scalar law draws on each term's lane `root.split(i)`: over
+        /// every batch size in [`BATCH_LENS`], with zero-shot terms, the
+        /// edge probabilities, counts at the BINV/BTPE switch and BTPE
+        /// counts mixed in.
+        #[test]
+        fn batch_kernel_matches_the_scalar_law_lane_by_lane(
+            seed in 0u64..1 << 40,
+            stream in 0u64..1 << 40,
+        ) {
+            let mut pick = StreamRng::new(seed, 0xD1CE);
+            for len in BATCH_LENS {
+                let draws: Vec<(Binomial, u64)> = (0..len)
+                    .map(|_| {
+                        let p = if pick.gen_range(0..3) == 0 {
+                            EDGE_PS[pick.gen_range(0..EDGE_PS.len())]
+                        } else {
+                            pick.gen::<f64>()
+                        };
+                        let n = match pick.gen_range(0..4) {
+                            0 => 0,
+                            1 => pick.gen_range(1..9) as u64,
+                            2 => binv_edge(p).map_or(0, |n| n + pick.gen_range(0..2) as u64),
+                            _ => pick.gen_range(0..1_000_001) as u64,
+                        };
+                        (Binomial::new(p), n)
+                    })
+                    .collect();
+                let root = StreamRng::new(seed, stream ^ len as u64);
+                let mut got = Vec::with_capacity(len);
+                binomial_batch(draws.iter().map(|(law, n)| (law, *n)), &root, |i, x| {
+                    got.push((i, x))
+                });
+                let want: Vec<(usize, u64)> = draws
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (law, n))| (i, law.sample(*n, &mut root.split(i as u64))))
+                    .collect();
+                prop_assert_eq!(got, want, "{} draws", len);
             }
         }
     }
