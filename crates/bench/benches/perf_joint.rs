@@ -53,7 +53,7 @@ fn estimate(c: &mut Criterion) {
                     b.iter(|| {
                         estimate_allocated(
                             &compiled_joint.spec,
-                            &compiled_joint.samplers(),
+                            &compiled_joint.terms,
                             shots,
                             Allocator::Proportional,
                             &mut rng,
@@ -72,7 +72,7 @@ fn estimate(c: &mut Criterion) {
                         b.iter(|| {
                             estimate_allocated(
                                 &compiled_product.spec,
-                                &compiled_product.samplers(),
+                                &compiled_product.terms,
                                 shots,
                                 Allocator::Proportional,
                                 &mut rng,

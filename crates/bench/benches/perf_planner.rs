@@ -75,7 +75,7 @@ fn compiled_plan_sampling(c: &mut Criterion) {
         b.iter(|| {
             qpd::estimate_allocated(
                 &compiled.spec,
-                &compiled.samplers(),
+                compiled.plan_terms(),
                 shots,
                 Allocator::Proportional,
                 &mut rng,

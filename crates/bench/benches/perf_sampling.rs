@@ -1,6 +1,6 @@
-//! Performance microbenches for the QPD sampling stack: compiled
-//! branch-tree shot sampling, the estimators, the checkpointed sweep,
-//! cut compilation and one batch of a cut plan's term draws.
+//! Performance microbenches for the QPD sampling stack: per-shot against
+//! batched term draws, the estimators, the checkpointed sweep, cut
+//! compilation and one batch of a cut plan's term draws.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qpd::{
@@ -23,9 +23,9 @@ fn prepared_cut() -> PreparedCut {
 /// Wrapper hiding a term's batched `sample_observable_sum` override, so
 /// the estimator falls back to the per-shot default — the pre-batching
 /// baseline the `shot_sampling` group compares against.
-struct PerShotOnly<'a>(&'a dyn TermSampler);
+struct PerShotOnly(BernoulliTerm);
 
-impl TermSampler for PerShotOnly<'_> {
+impl TermSampler for PerShotOnly {
     fn sample_observable(&self, rng: &mut dyn rand::RngCore) -> f64 {
         self.0.sample_observable(rng)
     }
@@ -42,10 +42,7 @@ impl TermSampler for PerShotOnly<'_> {
 fn shot_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("shot_sampling");
     let prepared = prepared_cut();
-    let samplers = prepared.samplers();
-    let per_shot: Vec<PerShotOnly> = prepared.terms.iter().map(|t| PerShotOnly(t)).collect();
-    let per_shot_refs: Vec<&dyn TermSampler> =
-        per_shot.iter().map(|t| t as &dyn TermSampler).collect();
+    let per_shot: Vec<PerShotOnly> = prepared.terms.iter().map(|&t| PerShotOnly(t)).collect();
     for &shots in &[1000u64, 10_000, 100_000] {
         group.throughput(Throughput::Elements(shots));
         group.bench_with_input(BenchmarkId::new("per_shot", shots), &shots, |b, &shots| {
@@ -53,7 +50,7 @@ fn shot_sampling(c: &mut Criterion) {
             b.iter(|| {
                 estimate_allocated(
                     &prepared.spec,
-                    &per_shot_refs,
+                    &per_shot,
                     shots,
                     Allocator::Proportional,
                     &mut rng,
@@ -65,7 +62,7 @@ fn shot_sampling(c: &mut Criterion) {
             b.iter(|| {
                 estimate_allocated(
                     &prepared.spec,
-                    &samplers,
+                    &prepared.terms,
                     shots,
                     Allocator::Proportional,
                     &mut rng,
@@ -79,7 +76,6 @@ fn shot_sampling(c: &mut Criterion) {
 fn estimator_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("qpd/shots");
     let prepared = prepared_cut();
-    let samplers = prepared.samplers();
     for &shots in &[1000u64, 10_000] {
         group.throughput(Throughput::Elements(shots));
         group.bench_with_input(
@@ -90,7 +86,7 @@ fn estimator_modes(c: &mut Criterion) {
                 b.iter(|| {
                     estimate_allocated(
                         &prepared.spec,
-                        &samplers,
+                        &prepared.terms,
                         shots,
                         Allocator::Proportional,
                         &mut rng,
@@ -103,7 +99,7 @@ fn estimator_modes(c: &mut Criterion) {
             &shots,
             |b, &shots| {
                 let mut rng = StdRng::seed_from_u64(7);
-                b.iter(|| estimate_stochastic(&prepared.spec, &samplers, shots, &mut rng));
+                b.iter(|| estimate_stochastic(&prepared.spec, &prepared.terms, shots, &mut rng));
             },
         );
     }
@@ -113,12 +109,11 @@ fn estimator_modes(c: &mut Criterion) {
 fn sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("qpd/sweep");
     let prepared = prepared_cut();
-    let samplers = prepared.samplers();
     let checkpoints: Vec<u64> = (1..=20).map(|i| i * 250).collect();
     group.throughput(Throughput::Elements(5000));
     group.bench_function("20_checkpoints_to_5000", |b| {
         let mut rng = StdRng::seed_from_u64(11);
-        b.iter(|| proportional_sweep(&prepared.spec, &samplers, &checkpoints, &mut rng));
+        b.iter(|| proportional_sweep(&prepared.spec, &prepared.terms, &checkpoints, &mut rng));
     });
     group.finish();
 }

@@ -1,86 +1,43 @@
-//! Bridges wire cuts to the QPD estimators: compiles every
+//! Bridges wire cuts to the QPD estimators: simulates every
 //! [`crate::term::WireCut`] term circuit (with a concrete input state
-//! and observable) into a fast branch-tree sampler implementing
-//! [`qpd::TermSampler`] (the multi-wire analogue lives in
-//! [`crate::multi`]).
+//! and observable) once, on a compiled branch-tree sampler, and keeps
+//! only its exact value as a [`qpd::BernoulliTerm`] (the multi-wire
+//! analogue lives in [`crate::multi`]).
 //!
 //! This realises the paper's experimental procedure (Section IV): the
 //! input `W|0⟩` enters the sender qubit, the three subcircuits of
 //! Figure 5 are executed with shots split across them, and Pauli-Z is
-//! measured on the receiver qubit.
-//!
-//! Terms serve whole shot allocations through the batched
-//! [`TermSampler::sample_observable_sum`] path (one multinomial over the
-//! compiled branch leaves plus one binomial per occupied leaf), so the
-//! estimators never pay per-shot dispatch; the per-shot
-//! [`TermSampler::sample_observable`] path remains as the reference for
-//! equivalence tests.
+//! measured on the receiver qubit. Each subcircuit is seen only through
+//! its ±1 outcome, whose law its exact expectation fixes, so a term
+//! serves a whole shot allocation as one binomial draw.
 
 use crate::term::{CutTerm, WireCut};
 use qlinalg::Matrix;
-use qpd::{QpdSpec, TermSampler};
+use qpd::{BernoulliTerm, QpdSpec};
 use qsim::{Circuit, CompiledSampler, Gate, Pauli, StateVector};
 
-/// An executable, compiled wire-cut term for a fixed input state and
-/// observable.
-pub struct PreparedTerm {
-    sampler: CompiledSampler,
-    observable_qubit: usize,
-    exact: f64,
-    label: String,
-}
-
-impl PreparedTerm {
-    /// Compiles `term` for input `W|0⟩` (given by the 2×2 unitary `w`)
-    /// and observable `obs` on the cut output.
-    pub fn compile(term: &CutTerm, w: &Matrix, obs: Pauli) -> Self {
-        let n = term.circuit.num_qubits();
-        let clbits = term.circuit.num_clbits();
-        let mut circuit = Circuit::new(n, clbits);
-        // Input preparation on the sender qubit.
-        circuit.unitary1(w.clone(), term.input_qubit);
-        circuit.compose(&term.circuit);
-        // Basis rotation so that measuring Z on the output measures `obs`.
-        match obs {
-            Pauli::Z => {}
-            Pauli::X => {
-                circuit.h(term.output_qubit);
-            }
-            Pauli::Y => {
-                // Rotate Y onto Z: apply S† then H.
-                circuit.sdg(term.output_qubit).h(term.output_qubit);
-            }
-            Pauli::I => panic!("identity observable is trivial"),
+/// The circuit of `term` for input `W|0⟩` (given by the 2×2 unitary `w`)
+/// with `obs` rotated onto Z on the term's output qubit.
+fn term_circuit(term: &CutTerm, w: &Matrix, obs: Pauli) -> Circuit {
+    let n = term.circuit.num_qubits();
+    let clbits = term.circuit.num_clbits();
+    let mut circuit = Circuit::new(n, clbits);
+    // Input preparation on the sender qubit.
+    circuit.unitary1(w.clone(), term.input_qubit);
+    circuit.compose(&term.circuit);
+    // Basis rotation so that measuring Z on the output measures `obs`.
+    match obs {
+        Pauli::Z => {}
+        Pauli::X => {
+            circuit.h(term.output_qubit);
         }
-        let sampler = CompiledSampler::compile(&circuit, None);
-        let exact = sampler.exact_expval_z(term.output_qubit);
-        Self {
-            sampler,
-            observable_qubit: term.output_qubit,
-            exact,
-            label: term.label.clone(),
+        Pauli::Y => {
+            // Rotate Y onto Z: apply S† then H.
+            circuit.sdg(term.output_qubit).h(term.output_qubit);
         }
+        Pauli::I => panic!("identity observable is trivial"),
     }
-
-    /// The term label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-impl TermSampler for PreparedTerm {
-    fn sample_observable(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.sampler.sample_z(self.observable_qubit, rng)
-    }
-
-    fn sample_observable_sum(&self, shots: u64, rng: &mut dyn rand::RngCore) -> f64 {
-        self.sampler
-            .sample_z_batch(self.observable_qubit, shots, rng)
-    }
-
-    fn exact_expectation(&self) -> f64 {
-        self.exact
-    }
+    circuit
 }
 
 /// A wire cut compiled against a concrete input and observable, ready for
@@ -88,30 +45,30 @@ impl TermSampler for PreparedTerm {
 pub struct PreparedCut {
     /// Coefficient structure.
     pub spec: QpdSpec,
-    /// Compiled terms, index-aligned with `spec`.
-    pub terms: Vec<PreparedTerm>,
+    /// Each term's ±1 law, fixed by its circuit's exact expectation;
+    /// index-aligned with `spec`.
+    pub terms: Vec<BernoulliTerm>,
 }
 
 impl PreparedCut {
-    /// Compiles every term of `cut` for input `W|0⟩` and observable `obs`.
+    /// Compiles every term of `cut` for input `W|0⟩` and observable `obs`
+    /// and reads its exact expectation off the branch tree.
     pub fn new(cut: &dyn WireCut, w: &Matrix, obs: Pauli) -> Self {
         let spec = cut.spec();
         let terms = cut
             .terms()
             .iter()
-            .map(|t| PreparedTerm::compile(t, w, obs))
+            .map(|t| {
+                let sampler = CompiledSampler::compile(&term_circuit(t, w, obs), None);
+                BernoulliTerm::new(sampler.exact_expval_z(t.output_qubit))
+            })
             .collect();
         Self { spec, terms }
     }
 
-    /// Term samplers as trait objects for the `qpd` estimator functions.
-    pub fn samplers(&self) -> Vec<&dyn TermSampler> {
-        self.terms.iter().map(|t| t as &dyn TermSampler).collect()
-    }
-
     /// The exact (infinite-shot) decomposed expectation `Σᵢ cᵢ·⟨O⟩ᵢ`.
     pub fn exact_value(&self) -> f64 {
-        qpd::exact_value(&self.spec, &self.samplers())
+        qpd::exact_value(&self.spec, &self.terms)
     }
 }
 
@@ -140,7 +97,7 @@ mod tests {
     use crate::harada::HaradaCut;
     use crate::nme::{NmeCut, TeleportationPassthrough};
     use crate::peng::PengCut;
-    use qpd::Allocator;
+    use qpd::{Allocator, TermSampler};
     use qsim::haar_unitary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -203,7 +160,7 @@ mod tests {
             .map(|_| {
                 qpd::estimate_allocated(
                     &prepared.spec,
-                    &prepared.samplers(),
+                    &prepared.terms,
                     4000,
                     Allocator::Proportional,
                     &mut rng,
@@ -216,33 +173,55 @@ mod tests {
 
     #[test]
     fn prepared_term_batched_and_per_shot_sampling_agree() {
-        // Every term of the cut must give the same observable
-        // distribution through both sampling paths.
+        // Each folded term keeps only its circuit's exact value. The
+        // oracle is the term circuit's own branch-tree sampler, built
+        // here: its per-shot outcomes and the folded term's batched draw
+        // must both sit within 5σ of the stored value, which must be the
+        // sampler's exact expectation bit for bit.
         let w = ry_matrix(1.234);
-        let prepared = PreparedCut::new(&NmeCut::new(0.4), &w, Pauli::Z);
         let shots = 40_000u64;
-        for term in &prepared.terms {
-            let t: &dyn TermSampler = term;
-            let exact = t.exact_expectation();
-            let mut rng = StdRng::seed_from_u64(401);
-            let per_shot: f64 = (0..shots)
-                .map(|_| t.sample_observable(&mut rng))
-                .sum::<f64>()
-                / shots as f64;
-            let mut rng = StdRng::seed_from_u64(402);
-            let batched = t.sample_observable_sum(shots, &mut rng) / shots as f64;
-            // SE ≤ 1/√shots = 0.005; 5σ band around the exact value.
-            assert!(
-                (per_shot - exact).abs() < 0.025,
-                "{}: per-shot {per_shot} vs {exact}",
-                term.label()
-            );
-            assert!(
-                (batched - exact).abs() < 0.025,
-                "{}: batched {batched} vs {exact}",
-                term.label()
-            );
+        let cuts: Vec<Box<dyn WireCut>> = vec![
+            Box::new(NmeCut::new(0.4)),
+            Box::new(HaradaCut),
+            Box::new(PengCut),
+        ];
+        let mut branching_terms = 0;
+        for (c, cut) in cuts.iter().enumerate() {
+            let prepared = PreparedCut::new(cut.as_ref(), &w, Pauli::Z);
+            for (i, (term, folded)) in cut.terms().iter().zip(&prepared.terms).enumerate() {
+                let oracle = CompiledSampler::compile(&term_circuit(term, &w, Pauli::Z), None);
+                if oracle.leaves().len() > 1 {
+                    branching_terms += 1;
+                }
+                let exact = folded.exact_expectation();
+                assert_eq!(
+                    exact.to_bits(),
+                    oracle.exact_expval_z(term.output_qubit).to_bits()
+                );
+                let seed = 400 + 10 * c as u64 + i as u64;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let per_shot: f64 = (0..shots)
+                    .map(|_| oracle.sample_z(term.output_qubit, &mut rng))
+                    .sum::<f64>()
+                    / shots as f64;
+                let mut rng = StdRng::seed_from_u64(seed + 1000);
+                let batched = folded.sample_observable_sum(shots, &mut rng) / shots as f64;
+                // SE ≤ 1/√shots = 0.005; 5σ band around the exact value.
+                assert!(
+                    (per_shot - exact).abs() < 0.025,
+                    "{} {}: circuit per-shot {per_shot} vs {exact}",
+                    cut.name(),
+                    term.label
+                );
+                assert!(
+                    (batched - exact).abs() < 0.025,
+                    "{} {}: folded batched {batched} vs {exact}",
+                    cut.name(),
+                    term.label
+                );
+            }
         }
+        assert!(branching_terms > 0, "no term circuit measured mid-circuit");
     }
 
     #[test]
@@ -250,12 +229,13 @@ mod tests {
         // With k = 1 the exact per-term expectations already equal the
         // uncut value; sampling error is pure binomial noise.
         let w = ry_matrix(0.7);
-        let prepared = PreparedCut::new(&NmeCut::new(1.0), &w, Pauli::Z);
-        for term in &prepared.terms {
+        let cut = NmeCut::new(1.0);
+        let prepared = PreparedCut::new(&cut, &w, Pauli::Z);
+        for (term, folded) in cut.terms().iter().zip(&prepared.terms) {
             assert!(
-                (term.exact_expectation() - (0.7f64).cos()).abs() < 1e-10,
+                (folded.exact_expectation() - (0.7f64).cos()).abs() < 1e-10,
                 "term {} expectation deviates",
-                term.label()
+                term.label
             );
         }
     }
@@ -284,7 +264,7 @@ mod tests {
                 .map(|_| {
                     qpd::estimate_allocated(
                         &prepared.spec,
-                        &prepared.samplers(),
+                        &prepared.terms,
                         shots,
                         Allocator::Proportional,
                         rng,

@@ -25,9 +25,9 @@
 //! The complete MUB sets come from the Galois-field /
 //! commuting-Pauli-partition construction in [`crate::mub`], valid for
 //! every `n ≤` [`mub::MAX_WIRES`] — no hardcoded case split. The
-//! **estimate path never touches a dense superoperator**: term circuits
-//! compile into branch-tree samplers ([`crate::multi::PreparedMultiCut`])
-//! and correctness is checked by [`JointWireCut::verify`], which applies
+//! **estimate path never touches a dense superoperator**: each term
+//! circuit is simulated once on a branch-tree sampler for its exact
+//! value ([`crate::multi::PreparedMultiCut`]), and correctness is checked by [`JointWireCut::verify`], which applies
 //! each term's Kraus family **sparsely** (`O(d³)` per probe instead of
 //! the `2^{2n} × 2^{2n}` process-tomography matrix). The dense
 //! [`joint_identity_distance`] tomography survives for small-`n` tests
@@ -619,9 +619,8 @@ mod tests {
 
     #[test]
     fn joint_cut_batched_estimate_converges() {
-        // Finite-shot estimate through the batched multi-term path
-        // (multinomial leaf occupancies + per-leaf parity binomials)
-        // converges to the exact joint-cut value.
+        // Finite-shot estimate through the batched term laws (one
+        // binomial per term) converges to the exact joint-cut value.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut prep = qsim::Circuit::new(2, 0);
@@ -640,7 +639,7 @@ mod tests {
             .map(|_| {
                 qpd::estimate_allocated(
                     &compiled.spec,
-                    &compiled.samplers(),
+                    &compiled.terms,
                     4000,
                     qpd::Allocator::Proportional,
                     &mut rng,

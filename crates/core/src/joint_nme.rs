@@ -628,7 +628,7 @@ mod tests {
             .map(|_| {
                 qpd::estimate_allocated(
                     &compiled.spec,
-                    &compiled.samplers(),
+                    &compiled.terms,
                     4000,
                     qpd::Allocator::Proportional,
                     &mut rng,

@@ -13,7 +13,8 @@
 //! * [`harada`] / [`peng`] — the entanglement-free baselines (γ = 3 and
 //!   κ = 4).
 //! * [`term`] / [`executor`] — the cut abstraction, exact channel-level
-//!   verification, and compilation into `qpd` estimators.
+//!   verification, and compilation into `qpd` estimators (each term
+//!   circuit simulated once; its exact value fixes its ±1 law).
 //! * [`mixed`] — extension (paper §VI future work): Bell-diagonal/Werner
 //!   resource states via Pauli-channel inversion, plus the
 //!   distill-then-cut pipeline ([`mixed::DistillThenCut`]) composing
@@ -32,7 +33,7 @@
 //! * [`planner`] — the arbitrary-circuit cut planner: width-bounded
 //!   fragmentation, multi-cut derivation (subsequent wires, repeated
 //!   cuts), κ-crossover NME-vs-MUB protocol choice, and compilation into
-//!   one product-QPD execution plan on the batched samplers.
+//!   one product-QPD execution plan of `qpd::BernoulliTerm`s.
 //! * [`contract`] — per-fragment tensor-block compilation: each fragment
 //!   compiles once per local boundary-role variant and product terms are
 //!   evaluated by Pauli-transfer contraction (`Σ variants` circuits
@@ -68,7 +69,7 @@ pub use contract::{
     contraction_ineligibility, FragmentBlockSummary, FragmentBlocks, FrontierSweep, SweepStats,
     MAX_INCOMING, MAX_JOINT_WIRES,
 };
-pub use executor::{uncut_expectation, PreparedCut, PreparedTerm};
+pub use executor::{uncut_expectation, PreparedCut};
 pub use harada::HaradaCut;
 pub use joint::JointWireCut;
 pub use joint_nme::{NmeJointCut, NmeJointSolution};

@@ -646,7 +646,7 @@ mod tests {
             .map(|_| {
                 qpd::estimate_allocated(
                     &prepared.spec,
-                    &prepared.samplers(),
+                    &prepared.terms,
                     4000,
                     qpd::Allocator::Proportional,
                     &mut rng,
@@ -710,10 +710,9 @@ mod tests {
 
     #[test]
     fn batched_closed_form_estimator_matches_circuit_estimator() {
-        // The circuit-free sampler family and the compiled-circuit path
-        // must agree in mean at matched budgets.
+        // The circuit-free sampler family and the laws read off the term
+        // circuits must agree in mean at matched budgets.
         use crate::executor::{uncut_expectation, PreparedCut};
-        use qpd::TermSampler;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let p = 0.75;
@@ -721,12 +720,17 @@ mod tests {
         let w = qsim::Gate::Ry(1.1).matrix();
         let z = uncut_expectation(&w, qsim::Pauli::Z);
         let (spec, samplers) = cut.z_samplers(z);
-        let refs: Vec<&dyn TermSampler> = samplers.iter().map(|s| s as &dyn TermSampler).collect();
         let mut rng = StdRng::seed_from_u64(404);
         let reps = 60;
         let mean_closed: f64 = (0..reps)
             .map(|_| {
-                qpd::estimate_allocated(&spec, &refs, 4000, qpd::Allocator::Proportional, &mut rng)
+                qpd::estimate_allocated(
+                    &spec,
+                    &samplers,
+                    4000,
+                    qpd::Allocator::Proportional,
+                    &mut rng,
+                )
             })
             .sum::<f64>()
             / reps as f64;
@@ -735,7 +739,7 @@ mod tests {
             .map(|_| {
                 qpd::estimate_allocated(
                     &prepared.spec,
-                    &prepared.samplers(),
+                    &prepared.terms,
                     4000,
                     qpd::Allocator::Proportional,
                     &mut rng,

@@ -11,10 +11,12 @@
 //! circuits (GHZ preparation etc.) across the cut qubits are supported.
 //! [`crate::joint`] beats this product overhead with a genuinely joint
 //! measurement (`2^{n+1} − 1 < 3ⁿ`); [`PreparedMultiCut`] is the shared
-//! compilation target for both.
+//! compilation target for both. It simulates each term circuit once and
+//! keeps only the exact expectation of the ±1 Z-parity observable, as
+//! a [`qpd::BernoulliTerm`]: that value fixes the outcome's whole law.
 
 use crate::term::{CutTerm, WireCut};
-use qpd::{QpdSpec, TermSampler, TermSpec};
+use qpd::{BernoulliTerm, QpdSpec, TermSpec};
 use qsim::{Circuit, CompiledSampler, PauliString};
 
 /// A wire-cut product term over `w` wires.
@@ -140,95 +142,44 @@ impl ParallelWireCut {
     }
 }
 
-/// A compiled multi-wire term: the joint circuit with the sender's input
-/// preparation composed in and a diagonal (Z/I) observable on the output
-/// qubits.
-pub struct PreparedMultiTerm {
-    sampler: CompiledSampler,
-    /// Bit mask over the full register selecting output qubits with a Z.
-    z_mask: usize,
-    exact: f64,
-    num_qubits: usize,
+/// The circuit of `term` with the sender's input preparation composed in,
+/// and the mask of output qubits on which `observable` (diagonal, Z/I)
+/// places a Z.
+fn term_circuit(
+    term: &MultiCutTerm,
+    input_prep: &Circuit,
+    observable: &PauliString,
+) -> (Circuit, usize) {
+    assert_eq!(input_prep.num_qubits(), term.input_qubits.len());
+    assert_eq!(observable.num_qubits(), term.output_qubits.len());
+    assert!(
+        observable.is_diagonal(),
+        "multi-cut estimator supports diagonal (Z/I) observables"
+    );
+    let n = term.circuit.num_qubits();
+    let mut circuit = Circuit::new(n, term.circuit.num_clbits());
+    // Input preparation acts on the input qubits of all wires — the
+    // sender device holds all of them before the cut.
+    let cmap: Vec<usize> = (0..input_prep.num_clbits()).collect();
+    circuit.compose_mapped(input_prep, &term.input_qubits, &cmap);
+    circuit.compose(&term.circuit);
+    let mut z_mask = 0usize;
+    for (w, &q) in term.output_qubits.iter().enumerate() {
+        if observable.op(w) == qsim::Pauli::Z {
+            z_mask |= 1 << q;
+        }
+    }
+    (circuit, z_mask)
 }
 
-impl PreparedMultiTerm {
-    fn compile(term: &MultiCutTerm, input_prep: &Circuit, observable: &PauliString) -> Self {
-        assert_eq!(input_prep.num_qubits(), term.input_qubits.len());
-        assert_eq!(observable.num_qubits(), term.output_qubits.len());
-        assert!(
-            observable.is_diagonal(),
-            "multi-cut estimator supports diagonal (Z/I) observables"
-        );
-        let n = term.circuit.num_qubits();
-        let mut circuit = Circuit::new(n, term.circuit.num_clbits());
-        // Input preparation acts on the input qubits of all wires — the
-        // sender device holds all of them before the cut.
-        let cmap: Vec<usize> = (0..input_prep.num_clbits()).collect();
-        circuit.compose_mapped(input_prep, &term.input_qubits, &cmap);
-        circuit.compose(&term.circuit);
-        let sampler = CompiledSampler::compile(&circuit, None);
-        let mut z_mask = 0usize;
-        for (w, &q) in term.output_qubits.iter().enumerate() {
-            if observable.op(w) == qsim::Pauli::Z {
-                z_mask |= 1 << q;
-            }
-        }
-        let exact = sampler.exact_expval_parity(z_mask);
-        Self {
-            sampler,
-            z_mask,
-            exact,
-            num_qubits: n,
-        }
-    }
-}
-
-impl TermSampler for PreparedMultiTerm {
-    fn sample_observable(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        let leaf = self.sampler.sample_leaf(rng);
-        let idx = leaf.state.sample_z_basis(rng);
-        debug_assert!(idx < (1 << self.num_qubits));
-        if (idx & self.z_mask).count_ones().is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-
-    fn sample_observable_sum(&self, shots: u64, rng: &mut dyn rand::RngCore) -> f64 {
-        // Leaf occupancies from one multinomial; within a leaf the
-        // parity observable is Bernoulli with P(+1) = Σ_{even parity} |amp|².
-        let counts = self.sampler.sample_batch(shots, rng);
-        let mut sum = 0.0;
-        for (leaf, &n) in self.sampler.leaves().iter().zip(counts.iter()) {
-            if n == 0 {
-                continue;
-            }
-            let p_plus: f64 = leaf
-                .state
-                .probabilities()
-                .iter()
-                .enumerate()
-                .filter(|(idx, _)| (idx & self.z_mask).count_ones().is_multiple_of(2))
-                .map(|(_, p)| p)
-                .sum();
-            let plus = qsample::binomial(n, p_plus.clamp(0.0, 1.0), rng);
-            sum += 2.0 * plus as f64 - n as f64;
-        }
-        sum
-    }
-
-    fn exact_expectation(&self) -> f64 {
-        self.exact
-    }
-}
-
-/// A fully compiled parallel cut ready for the `qpd` estimators.
+/// A fully compiled parallel (or joint) cut ready for the `qpd`
+/// estimators.
 pub struct PreparedMultiCut {
     /// Product QPD coefficient structure.
     pub spec: QpdSpec,
-    /// Compiled product terms.
-    pub terms: Vec<PreparedMultiTerm>,
+    /// Each term's ±1 parity law, fixed by its circuit's exact
+    /// expectation; index-aligned with `spec`.
+    pub terms: Vec<BernoulliTerm>,
 }
 
 impl PreparedMultiCut {
@@ -239,7 +190,9 @@ impl PreparedMultiCut {
     }
 
     /// Compiles an explicit multi-wire term list (used by the joint cut of
-    /// [`crate::joint`], whose terms are not a product of single-wire cuts).
+    /// [`crate::joint`], whose terms are not a product of single-wire
+    /// cuts): each term circuit is simulated once, and its exact parity
+    /// expectation read off the branch tree becomes its law.
     pub fn from_terms(
         spec: QpdSpec,
         terms: &[MultiCutTerm],
@@ -249,19 +202,18 @@ impl PreparedMultiCut {
         assert_eq!(spec.len(), terms.len());
         let terms = terms
             .iter()
-            .map(|t| PreparedMultiTerm::compile(t, input_prep, observable))
+            .map(|t| {
+                let (circuit, z_mask) = term_circuit(t, input_prep, observable);
+                let sampler = CompiledSampler::compile(&circuit, None);
+                BernoulliTerm::new(sampler.exact_expval_parity(z_mask))
+            })
             .collect();
         Self { spec, terms }
     }
 
-    /// Term samplers for the `qpd` estimator functions.
-    pub fn samplers(&self) -> Vec<&dyn TermSampler> {
-        self.terms.iter().map(|t| t as &dyn TermSampler).collect()
-    }
-
     /// Exact decomposed value `Σ c·⟨O⟩`.
     pub fn exact_value(&self) -> f64 {
-        qpd::exact_value(&self.spec, &self.samplers())
+        qpd::exact_value(&self.spec, &self.terms)
     }
 }
 
@@ -270,39 +222,70 @@ mod tests {
     use super::*;
     use crate::harada::HaradaCut;
     use crate::nme::NmeCut;
-    use qpd::Allocator;
+    use qpd::{Allocator, TermSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn multi_term_batched_and_per_shot_paths_agree() {
-        // The parity observable's batched draw (binomial per leaf) must
-        // match the per-shot z-basis draw in distribution.
+        // Each folded term keeps only its circuit's exact parity value.
+        // The oracle is the term circuit's own branch-tree sampler, built
+        // here: per shot it draws a leaf, then a Z-basis outcome, and
+        // reads the parity. Those draws and the folded term's batched
+        // draw must both sit within 5σ of the stored value, which must be
+        // the sampler's exact parity expectation bit for bit.
+        use crate::joint::JointWireCut;
         let mut prep = Circuit::new(2, 0);
         prep.ry(0.7, 0).cx(0, 1);
-        let cut = ParallelWireCut::uniform(NmeCut::new(0.5), 2);
-        let prepared = PreparedMultiCut::new(&cut, &prep, &PauliString::from_label("ZZ"));
+        let zz = PauliString::from_label("ZZ");
+        let product = ParallelWireCut::uniform(NmeCut::new(0.5), 2);
+        let joint = JointWireCut::new(2);
+        let cuts = [
+            ("product", product.spec(), product.terms()),
+            ("joint", joint.spec(), joint.terms()),
+        ];
         let shots = 40_000u64;
-        for term in &prepared.terms {
-            let term: &dyn TermSampler = term;
-            let exact = term.exact_expectation();
-            let mut rng = StdRng::seed_from_u64(304);
-            let per_shot: f64 = (0..shots)
-                .map(|_| term.sample_observable(&mut rng))
-                .sum::<f64>()
-                / shots as f64;
-            let mut rng = StdRng::seed_from_u64(305);
-            let batched = term.sample_observable_sum(shots, &mut rng) / shots as f64;
-            // Each mean has SE ≤ 1/√shots = 0.005; allow 5σ against exact.
-            assert!(
-                (per_shot - exact).abs() < 0.025,
-                "per-shot {per_shot} vs {exact}"
-            );
-            assert!(
-                (batched - exact).abs() < 0.025,
-                "batched {batched} vs {exact}"
-            );
+        let mut branching_terms = 0;
+        for (c, (name, spec, terms)) in cuts.into_iter().enumerate() {
+            let prepared = PreparedMultiCut::from_terms(spec, &terms, &prep, &zz);
+            for (i, (term, folded)) in terms.iter().zip(&prepared.terms).enumerate() {
+                let (circuit, z_mask) = term_circuit(term, &prep, &zz);
+                let oracle = CompiledSampler::compile(&circuit, None);
+                if oracle.leaves().len() > 1 {
+                    branching_terms += 1;
+                }
+                let exact = folded.exact_expectation();
+                assert_eq!(
+                    exact.to_bits(),
+                    oracle.exact_expval_parity(z_mask).to_bits()
+                );
+                let seed = 300 + 100 * c as u64 + i as u64;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let per_shot: f64 = (0..shots)
+                    .map(|_| {
+                        let idx = oracle.sample_leaf(&mut rng).state.sample_z_basis(&mut rng);
+                        if (idx & z_mask).count_ones().is_multiple_of(2) {
+                            1.0
+                        } else {
+                            -1.0
+                        }
+                    })
+                    .sum::<f64>()
+                    / shots as f64;
+                let mut rng = StdRng::seed_from_u64(seed + 1000);
+                let batched = folded.sample_observable_sum(shots, &mut rng) / shots as f64;
+                // Each mean has SE ≤ 1/√shots = 0.005; allow 5σ against exact.
+                assert!(
+                    (per_shot - exact).abs() < 0.025,
+                    "{name} term {i}: circuit per-shot {per_shot} vs {exact}"
+                );
+                assert!(
+                    (batched - exact).abs() < 0.025,
+                    "{name} term {i}: folded batched {batched} vs {exact}"
+                );
+            }
         }
+        assert!(branching_terms > 0, "no term circuit measured mid-circuit");
     }
 
     #[test]
@@ -387,7 +370,7 @@ mod tests {
             .map(|_| {
                 qpd::estimate_allocated(
                     &prepared.spec,
-                    &prepared.samplers(),
+                    &prepared.terms,
                     3000,
                     Allocator::Proportional,
                     &mut rng,

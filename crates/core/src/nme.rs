@@ -304,7 +304,7 @@ mod tests {
                 .map(|_| {
                     qpd::estimate_allocated(
                         &prepared.spec,
-                        &prepared.samplers(),
+                        &prepared.terms,
                         4000,
                         qpd::Allocator::Proportional,
                         &mut rng,

@@ -758,22 +758,14 @@ impl CompiledPlan {
         backend_report: BackendReport,
         fragment_summaries: Vec<FragmentBlockSummary>,
     ) -> Self {
-        let mut compiled = Self {
+        let compiled = Self {
+            exact: qpd::exact_value(&spec, &terms),
             spec,
             terms,
-            exact: 0.0,
             report: plan.report(),
             backend_report,
             fragment_summaries,
         };
-        assert_eq!(compiled.spec.len(), compiled.terms.len());
-        compiled.exact = compiled
-            .spec
-            .terms()
-            .iter()
-            .zip(&compiled.terms)
-            .map(|(t, s)| t.coefficient * s.exact_expectation())
-            .sum();
         if cfg!(debug_assertions) {
             compiled
                 .verify_groups(1e-8)
@@ -782,7 +774,10 @@ impl CompiledPlan {
         compiled
     }
 
-    /// Term samplers for the `qpd` estimator functions.
+    /// The compiled terms as trait objects. Kept only for the benchmark
+    /// replay in `perfbench`, which reads it; call
+    /// [`plan_terms`](Self::plan_terms) instead, which every `qpd`
+    /// estimator takes as it is.
     pub fn samplers(&self) -> Vec<&dyn TermSampler> {
         self.terms.iter().map(|t| t as &dyn TermSampler).collect()
     }
@@ -1619,7 +1614,7 @@ mod tests {
                 CompiledPlan::compile_monolithic(&plan, &obs),
             ];
             for c in &compiled {
-                let summed = qpd::exact_value(&c.spec, &c.samplers());
+                let summed = qpd::exact_value(&c.spec, c.plan_terms());
                 assert_eq!(c.exact_value().to_bits(), summed.to_bits());
                 assert!((c.exact_value() - uncut).abs() < 1e-10);
             }
@@ -1658,7 +1653,7 @@ mod tests {
             .map(|_| {
                 qpd::estimate_allocated(
                     &compiled.spec,
-                    &compiled.samplers(),
+                    compiled.plan_terms(),
                     2000,
                     qpd::Allocator::Proportional,
                     &mut rng,

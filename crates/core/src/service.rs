@@ -75,7 +75,6 @@
 //! pins the whole contract.
 
 use crate::planner::{CompiledPlan, CutPlanner, PlanKey};
-use parking_lot::Mutex;
 use qpd::{Allocator, BernoulliTerm, SequentialAllocator};
 use qsample::{ShardedGrid, StreamRng};
 use qsim::{Circuit, PauliString};
@@ -83,7 +82,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of independent cache shards: requests are distributed by
 /// `digest mod CACHE_SHARDS`, so concurrent clients contend on a shard
@@ -232,6 +231,13 @@ impl Hasher for DigestHasher {
     }
 }
 
+/// Locks a shard. Every write under a shard lock is one `insert` or
+/// `clear`, which leaves the map a valid cache, so a poisoned lock is
+/// taken as it is.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The entry under `digest` whose key words equal `words`.
 fn find<'a>(shard: &'a Shard, digest: u64, words: &[u64]) -> Option<&'a Entry> {
     shard.get(&digest)?.iter().find(|e| *e.words == *words)
@@ -297,14 +303,14 @@ impl CutService {
         let words = self.planner.plan_words(circuit, observable);
         let digest = self.digest.hash_one(&words[..]);
         let shard = &self.shards[(digest % CACHE_SHARDS as u64) as usize];
-        if let Some(entry) = find(&shard.lock(), digest, &words) {
+        if let Some(entry) = find(&lock(shard), digest, &words) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (entry.plan.clone(), entry.key, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = CompiledPlan::compile(&self.planner.plan(circuit), observable);
         let entry = Entry::new(words, plan);
-        let mut guard = shard.lock();
+        let mut guard = lock(shard);
         let cached = insert(&mut guard, digest, entry);
         (cached.plan.clone(), cached.key, false)
     }
@@ -325,7 +331,7 @@ impl CutService {
     pub fn cache_len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
+            .map(|s| lock(s).values().map(Vec::len).sum::<usize>())
             .sum()
     }
 
@@ -334,7 +340,7 @@ impl CutService {
     /// in flight keeps the plans its workers hold until it returns.
     pub fn clear_cache(&self) {
         for shard in &self.shards {
-            shard.lock().clear();
+            lock(shard).clear();
         }
     }
 
@@ -598,6 +604,32 @@ mod tests {
         assert_eq!(outcomes.len(), 7);
         assert_eq!(svc.cache_stats(), (7 - 2, 2));
         assert_eq!(svc.cache_len(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_shard_still_serves_its_plans() {
+        // A thread that panics while holding a shard lock poisons it;
+        // every write leaves the cache valid, so lookups, inserts and
+        // clears go on, and the cached plan is still served.
+        let svc = service();
+        let cold = svc.run_job(&job(3));
+        for shard in &svc.shards {
+            std::thread::scope(|s| {
+                let holder = s.spawn(|| {
+                    let _guard = shard.lock();
+                    panic!("poisoning a cache shard");
+                });
+                assert!(holder.join().is_err());
+            });
+            assert!(shard.is_poisoned());
+        }
+        let warm = svc.run_job(&job(3));
+        assert!(warm.cache_hit);
+        assert_eq!(cold.estimate.to_bits(), warm.estimate.to_bits());
+        assert_eq!(svc.cache_len(), 1);
+        svc.clear_cache();
+        assert_eq!(svc.cache_len(), 0);
+        assert!(!svc.run_job(&job(3)).cache_hit);
     }
 
     #[test]

@@ -94,7 +94,6 @@ pub fn run(config: &AllocationConfig) -> Table {
             let w = haar_unitary(2, &mut ctx.shared(&(STATE_STREAM, s)));
             let exact = wirecut::uncut_expectation(&w, Pauli::Z);
             let prepared = PreparedCut::new(&cut, &w, Pauli::Z);
-            let samplers = prepared.samplers();
             let rng = ctx.rng();
             let mut errs = [0.0f64; 3];
             for (i, strat) in Strategy::ALL.iter().enumerate() {
@@ -103,20 +102,20 @@ pub fn run(config: &AllocationConfig) -> Table {
                     let est = match strat {
                         Strategy::Proportional => estimate_allocated(
                             &prepared.spec,
-                            &samplers,
+                            &prepared.terms,
                             config.shots,
                             Allocator::Proportional,
                             rng,
                         ),
                         Strategy::Uniform => estimate_allocated(
                             &prepared.spec,
-                            &samplers,
+                            &prepared.terms,
                             config.shots,
                             Allocator::Uniform,
                             rng,
                         ),
                         Strategy::Stochastic => {
-                            estimate_stochastic(&prepared.spec, &samplers, config.shots, rng)
+                            estimate_stochastic(&prepared.spec, &prepared.terms, config.shots, rng)
                         }
                     };
                     acc.push((est - exact).abs());

@@ -42,7 +42,6 @@
 use crate::csvout::Table;
 use crate::stats::{measure_overhead_cell, OverheadMeasurement, RunningStats};
 use entangle::RecurrenceProtocol;
-use qpd::TermSampler;
 use qsample::grid::ShardedGrid;
 use qsim::{haar_unitary, Pauli};
 use wirecut::mixed::{
@@ -160,12 +159,10 @@ pub fn run(config: &DistillCutConfig) -> Table {
             // Closed-form batched sampler family — the recurrence and
             // the cut are both exact maps; no circuit is simulated.
             let (spec, samplers) = pipeline.z_samplers(z);
-            let refs: Vec<&dyn TermSampler> =
-                samplers.iter().map(|t| t as &dyn TermSampler).collect();
             let exact_terms: Vec<f64> = pipeline.z_term_expectations(z);
             measure_overhead_cell(
                 &spec,
-                &refs,
+                &samplers,
                 z,
                 &exact_terms,
                 kappa,

@@ -11,11 +11,11 @@
 //!    to the QPD coefficients, estimate each term and recombine;
 //! 4. record `ε = |⟨Z⟩_sample − ⟨Z⟩_exact|`; average over random states.
 //!
-//! Each per-term allocation is served by the batched shot engine (one
-//! multinomial over compiled branch leaves per checkpoint instead of one
-//! tree walk per shot), so the sweep's cost is dominated by the number
-//! of (state, overlap) grid points rather than the shot budget. The
-//! whole (overlap, state) grid is sharded across workers by
+//! Each per-term allocation is one binomial draw on the term's ±1 law,
+//! fixed by its circuit's exact value (one draw per checkpoint instead
+//! of one tree walk per shot), so the sweep's cost is dominated by the
+//! number of (state, overlap) grid points rather than the shot budget.
+//! The whole (overlap, state) grid is sharded across workers by
 //! [`qsample::grid::ShardedGrid`]: each cell samples from its own
 //! counter-based stream keyed by `(f, state)`, while the Haar input
 //! state is drawn from a stream keyed by the state index alone — so all
@@ -89,12 +89,8 @@ pub fn run(config: &Fig6Config) -> Fig6Result {
             let exact = wirecut::uncut_expectation(&w, Pauli::Z);
             let cut = NmeCut::from_overlap(f);
             let prepared = PreparedCut::new(&cut, &w, Pauli::Z);
-            let estimates = proportional_sweep(
-                &prepared.spec,
-                &prepared.samplers(),
-                &checkpoints,
-                ctx.rng(),
-            );
+            let estimates =
+                proportional_sweep(&prepared.spec, &prepared.terms, &checkpoints, ctx.rng());
             estimates.iter().map(|e| (e - exact).abs()).collect()
         });
 

@@ -5,9 +5,9 @@
 //! deviation ([`wirecut::joint::JointWireCut::verify_deviation`] — no
 //! dense superoperator on the experiment path), and the measured
 //! estimation error on entangled sender states. Both the
-//! joint and product estimates request their shot allocations in one
-//! batched call per term (multinomial leaf occupancies + per-leaf parity
-//! binomials).
+//! joint and product estimates draw each term's shot allocation as one
+//! binomial on the term's ±1 parity law, fixed by its circuit's exact
+//! value.
 
 use crate::csvout::Table;
 use crate::stats::RunningStats;
@@ -121,7 +121,7 @@ pub fn run(config: &JointConfig) -> Table {
             for _ in 0..config.repetitions {
                 let est_j = estimate_allocated(
                     &compiled_joint.spec,
-                    &compiled_joint.samplers(),
+                    &compiled_joint.terms,
                     config.shots,
                     Allocator::Proportional,
                     rng,
@@ -129,7 +129,7 @@ pub fn run(config: &JointConfig) -> Table {
                 ej.push((est_j - exact).abs());
                 let est_p = estimate_allocated(
                     &compiled_product.spec,
-                    &compiled_product.samplers(),
+                    &compiled_product.terms,
                     config.shots,
                     Allocator::Proportional,
                     rng,

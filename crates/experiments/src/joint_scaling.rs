@@ -237,7 +237,7 @@ pub fn shots_table(config: &JointScalingConfig) -> Table {
                     for _ in 0..config.repetitions {
                         let est_j = estimate_allocated(
                             &compiled_joint.spec,
-                            &compiled_joint.samplers(),
+                            &compiled_joint.terms,
                             shots,
                             Allocator::Proportional,
                             rng,
@@ -245,7 +245,7 @@ pub fn shots_table(config: &JointScalingConfig) -> Table {
                         ej.push((est_j - exact).abs());
                         let est_p = estimate_allocated(
                             &compiled_product.spec,
-                            &compiled_product.samplers(),
+                            &compiled_product.terms,
                             shots,
                             Allocator::Proportional,
                             rng,

@@ -104,7 +104,7 @@ pub fn run(config: &MultiCutConfig) -> Table {
             for _ in 0..config.repetitions {
                 let est = estimate_allocated(
                     &prepared.spec,
-                    &prepared.samplers(),
+                    &prepared.terms,
                     config.shots,
                     Allocator::Proportional,
                     rng,

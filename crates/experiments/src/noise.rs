@@ -15,7 +15,7 @@
 use crate::csvout::Table;
 use crate::stats::RunningStats;
 use qlinalg::Matrix;
-use qpd::{BernoulliTerm, QpdSpec, TermSampler};
+use qpd::{BernoulliTerm, QpdSpec};
 use qsample::grid::ShardedGrid;
 use qsim::noise::{execute_density_noisy, NoiseModel};
 use qsim::{haar_unitary, Circuit, Pauli, PauliString};
@@ -138,14 +138,12 @@ pub fn run(config: &NoiseConfig) -> Table {
                 .iter()
                 .map(|&e| BernoulliTerm::new(e.clamp(-1.0, 1.0)))
                 .collect();
-            let refs: Vec<&dyn TermSampler> =
-                samplers.iter().map(|s| s as &dyn TermSampler).collect();
             let rng = ctx.rng();
             let mut err = RunningStats::new();
             for _ in 0..config.repetitions {
                 let est = qpd::estimate_allocated(
                     &spec,
-                    &refs,
+                    &samplers,
                     config.shots,
                     qpd::Allocator::Proportional,
                     rng,

@@ -118,7 +118,7 @@ pub fn run(config: &OverheadConfig) -> Vec<OverheadRow> {
                 .map(|_| {
                     estimate_allocated(
                         &prepared.spec,
-                        &prepared.samplers(),
+                        &prepared.terms,
                         config.shots,
                         Allocator::Proportional,
                         rng,

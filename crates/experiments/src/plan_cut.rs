@@ -179,7 +179,7 @@ pub fn run(config: &PlanCutConfig) -> Table {
             for _ in 0..config.repetitions {
                 let est = qpd::estimate_allocated(
                     &compiled.spec,
-                    &compiled.samplers(),
+                    compiled.plan_terms(),
                     config.shots,
                     Allocator::Proportional,
                     rng,

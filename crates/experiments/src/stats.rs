@@ -2,7 +2,7 @@
 //! per-cell overhead measurement (variance-ratio `κ̂` with propagated
 //! Wilson bands) that E15 and E16 both ride.
 
-use qpd::{estimate_allocated, Allocator, QpdSpec, TermSampler};
+use qpd::{estimate_allocated, Allocator, BernoulliTerm, QpdSpec};
 use rand::Rng;
 
 /// Welford running mean/variance accumulator.
@@ -209,7 +209,7 @@ pub struct OverheadMeasurement {
 #[allow(clippy::too_many_arguments)] // one flat cell descriptor, two call sites
 pub fn measure_overhead_cell<R: Rng>(
     spec: &QpdSpec,
-    terms: &[&dyn TermSampler],
+    terms: &[BernoulliTerm],
     exact_value: f64,
     exact_terms: &[f64],
     kappa: f64,
@@ -340,7 +340,6 @@ mod tests {
 
     #[test]
     fn overhead_cell_measures_a_calibrated_bernoulli_family() {
-        use qpd::BernoulliTerm;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         // A κ = 3 Harada-style fixture: +0.3 +0.5 −0.36 = 0.44.
@@ -350,12 +349,11 @@ mod tests {
             BernoulliTerm::new(0.5),
             BernoulliTerm::new(0.36),
         ];
-        let refs: Vec<&dyn TermSampler> = terms.iter().map(|t| t as &dyn TermSampler).collect();
         let exact_terms = [0.3, 0.5, 0.36];
         let mut rng = StdRng::seed_from_u64(1605);
         let cell = measure_overhead_cell(
             &spec,
-            &refs,
+            &terms,
             0.44,
             &exact_terms,
             spec.kappa(),

@@ -7,8 +7,8 @@
 //! * `κ_inv = (3/p − 1)/2` — the inversion construction's overhead
 //!   (strictly suboptimal for `p < 1`; the gap is the price of losing
 //!   coherence in the resource), and
-//! * the measured estimation error at a fixed shot budget (served by
-//!   the batched shot engine — counts per branch leaf, not per-shot
+//! * the measured estimation error at a fixed shot budget (one binomial
+//!   per term on the law its circuit's exact value fixes, not per-shot
 //!   tree walks).
 
 use crate::csvout::Table;
@@ -81,7 +81,7 @@ pub fn run(config: &WernerConfig) -> Table {
             for _ in 0..config.repetitions {
                 let est = estimate_allocated(
                     &prepared.spec,
-                    &prepared.samplers(),
+                    &prepared.terms,
                     config.shots,
                     Allocator::Proportional,
                     rng,

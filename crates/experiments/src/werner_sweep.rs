@@ -39,7 +39,6 @@
 use crate::csvout::Table;
 use crate::stats::{measure_overhead_cell, OverheadMeasurement, RunningStats};
 use entangle::werner;
-use qpd::TermSampler;
 use qsample::grid::ShardedGrid;
 use qsim::{haar_unitary, Pauli};
 use wirecut::mixed::{inversion_kappa, optimal_gamma_bell_diagonal, BellDiagonalCut};
@@ -131,12 +130,10 @@ pub fn run(config: &WernerSweepConfig) -> Table {
             // cell reduction (variance-ratio κ̂ + propagated Wilson band)
             // is the shared `stats::measure_overhead_cell` used by E16.
             let (spec, samplers) = cut.z_samplers(z);
-            let refs: Vec<&dyn TermSampler> =
-                samplers.iter().map(|t| t as &dyn TermSampler).collect();
             let exact_terms: Vec<f64> = cut.z_term_expectations(z);
             measure_overhead_cell(
                 &spec,
-                &refs,
+                &samplers,
                 z,
                 &exact_terms,
                 kappa,

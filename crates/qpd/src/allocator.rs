@@ -513,7 +513,6 @@ mod tests {
             BernoulliTerm::new(0.0),  // σ = 1
             BernoulliTerm::new(0.3),  // σ ≈ 0.95
         ];
-        let refs: Vec<&dyn TermSampler> = terms.iter().map(|t| t as &dyn TermSampler).collect();
         let exact = 0.99 + 0.0 - 0.3;
         let total = 1200u64;
         let batches = 4u64;
@@ -524,7 +523,7 @@ mod tests {
             let mut rng = StreamRng::new(0xA110C, rep);
             let est = estimate_with_allocation(
                 &spec,
-                &refs,
+                &terms,
                 &Allocator::Proportional.allocate(&spec, total),
                 &mut rng,
             );
@@ -534,7 +533,7 @@ mod tests {
             let per_batch = total / batches;
             for _ in 0..batches {
                 let alloc = seq.next_allocation(&spec, per_batch);
-                for (i, (&n, term)) in alloc.iter().zip(refs.iter()).enumerate() {
+                for (i, (&n, term)) in alloc.iter().zip(terms.iter()).enumerate() {
                     if n > 0 {
                         seq.record(i, term.sample_observable_sum(n, &mut rng), n);
                     }

@@ -9,11 +9,13 @@
 //! sweep that yields the estimate at many shot budgets from a single
 //! sampling pass (the workhorse of the Figure 6 reproduction).
 //!
-//! All estimators request shots through the **batched**
-//! [`TermSampler::sample_observable_sum`] entry point, so a term backed
-//! by a compiled branch-tree sampler serves a whole allocation as one
-//! multinomial/binomial draw (`O(#outcomes)` instead of `O(shots)` RNG
-//! work) while staying identical in distribution to per-shot sampling.
+//! Every estimator takes its terms as a slice `&[T]` of one
+//! [`TermSampler`] type and requests shots through the **batched**
+//! [`TermSampler::sample_observable_sum`] entry point. The library's
+//! one term type is [`BernoulliTerm`]: a ±1 observable's law is fixed by
+//! its exact value, so a whole allocation is one binomial draw. Tests
+//! substitute their own `TermSampler`s (a shot counter, a per-shot-only
+//! wrapper) through the same slice.
 
 use crate::allocator::Allocator;
 use crate::spec::QpdSpec;
@@ -30,12 +32,10 @@ pub trait TermSampler {
     /// Draws `shots` single-shot estimates and returns their **sum**.
     ///
     /// The default walks [`sample_observable`](Self::sample_observable)
-    /// `shots` times. Implementations backed by a compiled branch-tree
-    /// sampler override this with a counts-based draw (multinomial over
-    /// leaves, binomial within each leaf) that is identical in
-    /// distribution but costs `O(#outcomes)` instead of `O(shots)` —
-    /// every estimator in this module calls through here, so overriding
-    /// this one method batches the whole stack.
+    /// `shots` times. [`BernoulliTerm`] overrides it with one binomial
+    /// draw, identical in distribution — every estimator in this module
+    /// calls through here, so overriding this one method batches the
+    /// whole stack.
     fn sample_observable_sum(&self, shots: u64, rng: &mut dyn rand::RngCore) -> f64 {
         let mut sum = 0.0;
         for _ in 0..shots {
@@ -50,7 +50,7 @@ pub trait TermSampler {
 
 /// Exact (infinite-shot) value of the decomposed expectation:
 /// `Σᵢ cᵢ · exactᵢ`.
-pub fn exact_value(spec: &QpdSpec, terms: &[&dyn TermSampler]) -> f64 {
+pub fn exact_value<T: TermSampler>(spec: &QpdSpec, terms: &[T]) -> f64 {
     assert_eq!(spec.len(), terms.len());
     spec.terms()
         .iter()
@@ -66,9 +66,9 @@ pub fn exact_value(spec: &QpdSpec, terms: &[&dyn TermSampler]) -> f64 {
 /// one multinomial over the term probabilities followed by one batched
 /// observable draw per occupied term — the same joint distribution as
 /// the shot-by-shot loop, without the per-shot dispatch.
-pub fn estimate_stochastic<R: Rng>(
+pub fn estimate_stochastic<T: TermSampler, R: Rng>(
     spec: &QpdSpec,
-    terms: &[&dyn TermSampler],
+    terms: &[T],
     shots: u64,
     rng: &mut R,
 ) -> f64 {
@@ -95,9 +95,9 @@ pub fn estimate_stochastic<R: Rng>(
 /// `Σᵢ cᵢ · meanᵢ`. Terms allocated zero shots contribute zero (their
 /// mean is undefined; with proportional allocation this only happens at
 /// negligible budgets).
-pub fn estimate_allocated<R: Rng>(
+pub fn estimate_allocated<T: TermSampler, R: Rng>(
     spec: &QpdSpec,
-    terms: &[&dyn TermSampler],
+    terms: &[T],
     total_shots: u64,
     allocator: Allocator,
     rng: &mut R,
@@ -107,9 +107,9 @@ pub fn estimate_allocated<R: Rng>(
 }
 
 /// Deterministic estimator with an explicit per-term shot allocation.
-pub fn estimate_with_allocation<R: Rng>(
+pub fn estimate_with_allocation<T: TermSampler, R: Rng>(
     spec: &QpdSpec,
-    terms: &[&dyn TermSampler],
+    terms: &[T],
     allocation: &[u64],
     rng: &mut R,
 ) -> f64 {
@@ -138,10 +138,11 @@ pub fn estimate_with_allocation<R: Rng>(
 /// [`estimate_allocated`] with [`Allocator::Proportional`] (identical
 /// distribution; the RNG consumption differs, so values are not
 /// bit-equal). Budget remainders (`total_shots % num_batches`) are
-/// folded into the final batch.
-pub fn estimate_sequential<R: Rng>(
+/// folded into the final batch, so with fewer shots than batches the
+/// whole budget is one final batch.
+pub fn estimate_sequential<T: TermSampler, R: Rng>(
     spec: &QpdSpec,
-    terms: &[&dyn TermSampler],
+    terms: &[T],
     total_shots: u64,
     num_batches: u64,
     rng: &mut R,
@@ -153,7 +154,14 @@ pub fn estimate_sequential<R: Rng>(
     }
     let mut seq = crate::allocator::SequentialAllocator::new(spec.len());
     let per_batch = total_shots / num_batches;
-    for batch in 0..num_batches {
+    // With fewer shots than batches every batch but the last is empty,
+    // so start there: empty batches draw nothing, so no draw moves.
+    let first = if total_shots < num_batches {
+        num_batches - 1
+    } else {
+        0
+    };
+    for batch in first..num_batches {
         let budget = if batch + 1 == num_batches {
             total_shots - per_batch * (num_batches - 1)
         } else {
@@ -180,9 +188,9 @@ pub fn estimate_sequential<R: Rng>(
 /// For each checkpoint `N`, the estimate uses exactly the proportional
 /// allocation `nᵢ(N)` and the first `nᵢ(N)` samples of each term — the
 /// same distribution as running [`estimate_allocated`] at `N` fresh.
-pub fn proportional_sweep<R: Rng>(
+pub fn proportional_sweep<T: TermSampler, R: Rng>(
     spec: &QpdSpec,
-    terms: &[&dyn TermSampler],
+    terms: &[T],
     checkpoints: &[u64],
     rng: &mut R,
 ) -> Vec<f64> {
@@ -328,26 +336,21 @@ mod tests {
         (spec, terms)
     }
 
-    fn dyn_terms(terms: &[BernoulliTerm]) -> Vec<&dyn TermSampler> {
-        terms.iter().map(|t| t as &dyn TermSampler).collect()
-    }
-
     #[test]
     fn exact_value_combines_terms() {
         let (spec, terms) = fixture();
-        let v = exact_value(&spec, &dyn_terms(&terms));
+        let v = exact_value(&spec, &terms);
         assert!((v - 0.44).abs() < 1e-12);
     }
 
     #[test]
     fn stochastic_estimator_is_unbiased() {
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let mut rng = StdRng::seed_from_u64(42);
         let reps = 300;
         let shots = 2000;
         let mean: f64 = (0..reps)
-            .map(|_| estimate_stochastic(&spec, &refs, shots, &mut rng))
+            .map(|_| estimate_stochastic(&spec, &terms, shots, &mut rng))
             .sum::<f64>()
             / reps as f64;
         // SE of the mean ≈ κ/√(reps·shots) ≈ 3/775 ≈ 0.004
@@ -360,22 +363,20 @@ mod tests {
         // same value; variance ratio should be ≈ κ² (modulo the bounded
         // per-term variance corrections).
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let direct_spec = QpdSpec::from_parts(&[(1.0, 0.0)]);
-        let direct_term = BernoulliTerm::new(0.44);
-        let direct_refs: Vec<&dyn TermSampler> = vec![&direct_term];
+        let direct_terms = [BernoulliTerm::new(0.44)];
         let mut rng = StdRng::seed_from_u64(7);
         let reps = 400;
         let shots = 500;
-        let var = |spec: &QpdSpec, refs: &[&dyn TermSampler], rng: &mut StdRng| -> f64 {
+        let var = |spec: &QpdSpec, terms: &[BernoulliTerm], rng: &mut StdRng| -> f64 {
             let xs: Vec<f64> = (0..reps)
-                .map(|_| estimate_stochastic(spec, refs, shots, rng))
+                .map(|_| estimate_stochastic(spec, terms, shots, rng))
                 .collect();
             let m = xs.iter().sum::<f64>() / reps as f64;
             xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (reps - 1) as f64
         };
-        let v_qpd = var(&spec, &refs, &mut rng);
-        let v_direct = var(&direct_spec, &direct_refs, &mut rng);
+        let v_qpd = var(&spec, &terms, &mut rng);
+        let v_direct = var(&direct_spec, &direct_terms, &mut rng);
         let ratio = v_qpd / v_direct;
         // Theoretical: Var_qpd·shots = κ² − value² ≈ 8.81; Var_direct·shots
         // = 1 − 0.44² ≈ 0.806 → ratio ≈ 10.9. Allow wide statistical slack.
@@ -388,11 +389,10 @@ mod tests {
     #[test]
     fn allocated_estimator_is_unbiased() {
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let mut rng = StdRng::seed_from_u64(3);
         let reps = 300;
         let mean: f64 = (0..reps)
-            .map(|_| estimate_allocated(&spec, &refs, 1500, Allocator::Proportional, &mut rng))
+            .map(|_| estimate_allocated(&spec, &terms, 1500, Allocator::Proportional, &mut rng))
             .sum::<f64>()
             / reps as f64;
         assert!((mean - 0.44).abs() < 0.02, "allocated mean {mean}");
@@ -401,11 +401,10 @@ mod tests {
     #[test]
     fn uniform_allocation_also_unbiased() {
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let mut rng = StdRng::seed_from_u64(4);
         let reps = 300;
         let mean: f64 = (0..reps)
-            .map(|_| estimate_allocated(&spec, &refs, 1500, Allocator::Uniform, &mut rng))
+            .map(|_| estimate_allocated(&spec, &terms, 1500, Allocator::Uniform, &mut rng))
             .sum::<f64>()
             / reps as f64;
         assert!((mean - 0.44).abs() < 0.02, "uniform mean {mean}");
@@ -414,14 +413,13 @@ mod tests {
     #[test]
     fn sweep_matches_fresh_estimates_in_distribution() {
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let checkpoints = vec![300, 600, 1200, 2400];
         let mut rng = StdRng::seed_from_u64(5);
         // Mean over repetitions of the sweep at each checkpoint ≈ 0.44.
         let reps = 200;
         let mut means = vec![0.0f64; checkpoints.len()];
         for _ in 0..reps {
-            let est = proportional_sweep(&spec, &refs, &checkpoints, &mut rng);
+            let est = proportional_sweep(&spec, &terms, &checkpoints, &mut rng);
             for (m, e) in means.iter_mut().zip(est.iter()) {
                 *m += e;
             }
@@ -438,13 +436,12 @@ mod tests {
     #[test]
     fn sweep_error_decreases_with_budget() {
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let checkpoints = vec![100, 400, 1600, 6400];
         let mut rng = StdRng::seed_from_u64(6);
         let reps = 150;
         let mut mse = vec![0.0f64; checkpoints.len()];
         for _ in 0..reps {
-            let est = proportional_sweep(&spec, &refs, &checkpoints, &mut rng);
+            let est = proportional_sweep(&spec, &terms, &checkpoints, &mut rng);
             for (m, e) in mse.iter_mut().zip(est.iter()) {
                 *m += (e - 0.44) * (e - 0.44);
             }
@@ -460,22 +457,20 @@ mod tests {
     #[test]
     fn zero_shots_returns_zero() {
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let mut rng = StdRng::seed_from_u64(8);
-        assert_eq!(estimate_stochastic(&spec, &refs, 0, &mut rng), 0.0);
-        let est = estimate_with_allocation(&spec, &refs, &[0, 0, 0], &mut rng);
+        assert_eq!(estimate_stochastic(&spec, &terms, 0, &mut rng), 0.0);
+        let est = estimate_with_allocation(&spec, &terms, &[0, 0, 0], &mut rng);
         assert_eq!(est, 0.0);
-        assert_eq!(estimate_sequential(&spec, &refs, 0, 4, &mut rng), 0.0);
+        assert_eq!(estimate_sequential(&spec, &terms, 0, 4, &mut rng), 0.0);
     }
 
     #[test]
     fn sequential_estimator_is_unbiased() {
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let mut rng = StdRng::seed_from_u64(21);
         let reps = 300;
         let mean: f64 = (0..reps)
-            .map(|_| estimate_sequential(&spec, &refs, 1500, 4, &mut rng))
+            .map(|_| estimate_sequential(&spec, &terms, 1500, 4, &mut rng))
             .sum::<f64>()
             / reps as f64;
         assert!((mean - 0.44).abs() < 0.02, "sequential mean {mean}");
@@ -503,16 +498,24 @@ mod tests {
         let (spec, terms) = fixture();
         let counter = AtomicU64::new(0);
         let counting: Vec<Counting> = terms.iter().map(|&t| Counting(&counter, t)).collect();
-        let refs: Vec<&dyn TermSampler> = counting.iter().map(|t| t as &dyn TermSampler).collect();
         let mut rng = StdRng::seed_from_u64(22);
-        estimate_sequential(&spec, &refs, 1000, 3, &mut rng);
+        estimate_sequential(&spec, &counting, 1000, 3, &mut rng);
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
+    }
+
+    #[test]
+    fn far_more_batches_than_shots_spend_one_batch() {
+        // Every batch but the last is empty; the loop starts at the last
+        // one, so u64::MAX batches return at once with the draws of one.
+        let (spec, terms) = fixture();
+        let many = estimate_sequential(&spec, &terms, 10, u64::MAX, &mut StdRng::seed_from_u64(24));
+        let one = estimate_sequential(&spec, &terms, 10, 1, &mut StdRng::seed_from_u64(24));
+        assert_eq!(many.to_bits(), one.to_bits());
     }
 
     #[test]
     fn sequential_single_batch_matches_proportional_in_distribution() {
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let reps = 400;
         let shots = 900;
         let mut rng = StdRng::seed_from_u64(23);
@@ -523,11 +526,11 @@ mod tests {
             (m, v)
         };
         let (m_seq, v_seq) = stats(
-            &mut |r| estimate_sequential(&spec, &refs, shots, 1, r),
+            &mut |r| estimate_sequential(&spec, &terms, shots, 1, r),
             &mut rng,
         );
         let (m_prop, v_prop) = stats(
-            &mut |r| estimate_allocated(&spec, &refs, shots, Allocator::Proportional, r),
+            &mut |r| estimate_allocated(&spec, &terms, shots, Allocator::Proportional, r),
             &mut rng,
         );
         assert!((m_seq - m_prop).abs() < 0.03, "means {m_seq} vs {m_prop}");
@@ -587,11 +590,10 @@ mod tests {
         // term by κ·sign and stay unbiased at tiny shot counts where the
         // multinomial is lumpy.
         let (spec, terms) = fixture();
-        let refs = dyn_terms(&terms);
         let mut rng = StdRng::seed_from_u64(73);
         let reps = 6000;
         let mean: f64 = (0..reps)
-            .map(|_| estimate_stochastic(&spec, &refs, 7, &mut rng))
+            .map(|_| estimate_stochastic(&spec, &terms, 7, &mut rng))
             .sum::<f64>()
             / reps as f64;
         // SE ≈ κ/√(reps·shots) ≈ 0.0146; allow 4σ.

@@ -6,12 +6,14 @@
 //! and the paper's proportional-allocation form, shot allocators, and a
 //! checkpointed sweep producing full error-vs-shots curves in one pass.
 //!
-//! The crate is deliberately agnostic of *what* the terms are: executable
-//! terms implement [`TermSampler`] (in this workspace, compiled wire-cut
-//! subcircuits from the `wirecut` crate). A term whose exact value is
-//! known needs nothing more than [`BernoulliTerm`], the ±1 law that
-//! value fixes; every compiled cut plan's terms are `BernoulliTerm`s,
-//! and [`BernoulliTerm::sample_batch`] draws a whole batch of them, one
+//! The crate is deliberately agnostic of *what* the terms are: every
+//! estimator takes a slice of one [`TermSampler`] type. A ±1 term's law
+//! is fixed by its exact value, so a term needs nothing more than
+//! [`BernoulliTerm`], the law that value fixes. Every wire-cut term of
+//! the `wirecut` crate — a single-wire cut, a multi-wire or joint cut, a
+//! compiled cut plan — is one: its subcircuit is simulated once for the
+//! exact value, and only the law is kept.
+//! [`BernoulliTerm::sample_batch`] draws a whole batch of them, one
 //! counter-based lane per term.
 
 #![forbid(unsafe_code)]

@@ -31,8 +31,8 @@
 //!
 //! A worker panic is never masked: [`ShardedGrid::run`] (and
 //! [`ShardedGrid::run_with`], the loop behind it) re-raises the
-//! **original payload** of the first worker that panicked (via the
-//! scoped-thread `Err` path), so an assertion message from inside a
+//! **original payload** of the first worker, in spawn order, whose join
+//! handle reports a panic, so an assertion message from inside a
 //! shard reaches the caller verbatim. The "configuration never ran"
 //! diagnostics in [`ShardResult`] only fire on work-distribution bugs,
 //! never as a stand-in for a worker panic; both contracts are pinned by
@@ -60,7 +60,6 @@
 //! cross-configuration comparisons.
 
 use crate::stream::StreamRng;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: available parallelism, capped at 16.
@@ -396,35 +395,38 @@ impl<C: GridKey + Sync> ShardedGrid<C> {
         let n = self.configs.len();
         let threads = self.threads().min(n.max(1));
         let cursor = AtomicUsize::new(0);
-        let merged: Mutex<ShardResult<R>> = Mutex::new(ShardResult::new(n));
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| {
-                    // Each worker accumulates into its own ShardResult and
-                    // merges once at the end, keeping the shared lock cold.
-                    let mut local = ShardResult::new(n);
-                    let mut state = init();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+        // Each worker accumulates into its own ShardResult and hands it
+        // back through its join handle; every handle is joined, so no
+        // panic escapes the scope unseen.
+        let workers: Vec<std::thread::Result<ShardResult<R>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = ShardResult::new(n);
+                        let mut state = init();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            let config = &self.configs[i];
+                            let mut ctx = ShardCtx::new(self.seed, config.grid_key());
+                            local.set(i, f(&mut state, config, &mut ctx));
                         }
-                        let config = &self.configs[i];
-                        let mut ctx = ShardCtx::new(self.seed, config.grid_key());
-                        local.set(i, f(&mut state, config, &mut ctx));
-                    }
-                    if local.filled() > 0 {
-                        merged.lock().merge(local);
-                    }
-                });
-            }
-        })
-        // Worker panics surface here with their original payload (the
-        // scoped-thread shim records the first panicking worker's
-        // payload); re-raise it so the caller sees the real failure, not
-        // a downstream "configuration never ran" artifact.
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        let result = merged.into_inner();
+                        local
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let mut result = ShardResult::new(n);
+        for worker in workers {
+            // A worker panic surfaces here with its original payload (the
+            // first in spawn order); re-raise it so the caller sees the
+            // real failure, not a downstream "configuration never ran"
+            // artifact.
+            result.merge(worker.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
         // Checked in release builds too: a worker claiming a slot and
         // exiting without filling it would otherwise only be caught by
         // the per-slot panic in into_rows.

@@ -52,7 +52,7 @@ fn main() {
         assert!((prepared.exact_value() - exact).abs() < 1e-8);
         let est = estimate_allocated(
             &prepared.spec,
-            &prepared.samplers(),
+            &prepared.terms,
             shots,
             Allocator::Proportional,
             &mut rng,

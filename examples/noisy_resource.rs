@@ -53,7 +53,7 @@ fn main() {
         let prepared = PreparedCut::new(&cut, &w, Pauli::Z);
         let est = estimate_allocated(
             &prepared.spec,
-            &prepared.samplers(),
+            &prepared.terms,
             shots,
             Allocator::Proportional,
             &mut rng,

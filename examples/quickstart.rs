@@ -20,7 +20,7 @@
 //! `‖Σ cᵢFᵢ − I‖∞ < 1e−12`, and the closing overhead line
 //! `κ = 1.5 ⇒ ~κ² = 2.25× more shots than an uncut wire`.
 
-use nme_wire_cutting::qpd::{estimate_allocated, Allocator};
+use nme_wire_cutting::qpd::{estimate_allocated, Allocator, TermSampler};
 use nme_wire_cutting::qsim::{Gate, Pauli};
 use nme_wire_cutting::wirecut::{theory, NmeCut, PreparedCut, WireCut};
 use rand::rngs::StdRng;
@@ -50,12 +50,13 @@ fn main() {
     // *exactly* (Theorem 2):
     let prepared = PreparedCut::new(&cut, &w, Pauli::Z);
     println!("\nQPD terms (Theorem 2):");
-    for (spec, term) in prepared.spec.terms().iter().zip(prepared.terms.iter()) {
+    let laws = prepared.spec.terms().iter().zip(&prepared.terms);
+    for (term, (spec, law)) in cut.terms().iter().zip(laws) {
         println!(
             "  c = {:+.4}  {}  exact term ⟨Z⟩ = {:+.6}",
             spec.coefficient,
-            term.label(),
-            nme_wire_cutting::qpd::TermSampler::exact_expectation(term),
+            term.label,
+            law.exact_expectation(),
         );
     }
     println!(
@@ -70,7 +71,7 @@ fn main() {
     for shots in [250u64, 1000, 5000, 20000] {
         let est = estimate_allocated(
             &prepared.spec,
-            &prepared.samplers(),
+            &prepared.terms,
             shots,
             Allocator::Proportional,
             &mut rng,

@@ -161,14 +161,14 @@ fn fixed_seed_full_estimate_is_reproducible() {
     let prepared = PreparedCut::new(&NmeCut::new(0.4), &w, Pauli::Z);
     let a = estimate_allocated(
         &prepared.spec,
-        &prepared.samplers(),
+        &prepared.terms,
         2000,
         Allocator::Proportional,
         &mut rng1,
     );
     let b = estimate_allocated(
         &prepared.spec,
-        &prepared.samplers(),
+        &prepared.terms,
         2000,
         Allocator::Proportional,
         &mut rng2,
@@ -190,7 +190,7 @@ fn accuracy_budget_follows_kappa_squared_law() {
             .map(|_| {
                 estimate_allocated(
                     &prepared.spec,
-                    &prepared.samplers(),
+                    &prepared.terms,
                     shots,
                     Allocator::Proportional,
                     rng,

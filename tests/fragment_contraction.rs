@@ -97,7 +97,7 @@ fn contracted_terms_match_monolithic_and_uncut_on_randomized_circuits() {
         let band = qpd_wilson_band(&contracted.spec, &contracted.exact_terms(), shots, 5.0);
         let est = estimate_allocated(
             &contracted.spec,
-            &contracted.samplers(),
+            contracted.plan_terms(),
             shots,
             Allocator::Proportional,
             &mut rng,
@@ -270,7 +270,7 @@ fn six_cut_plan_compiles_and_estimates_through_contraction() {
     let band = qpd_wilson_band(&compiled.spec, &compiled.exact_terms(), shots, 5.0);
     let est = estimate_allocated(
         &compiled.spec,
-        &compiled.samplers(),
+        compiled.plan_terms(),
         shots,
         Allocator::Proportional,
         &mut rng,

@@ -61,7 +61,7 @@ fn random_plans_match_uncut_statevector_within_five_sigma() {
         let band = qpd_wilson_band(&compiled.spec, &compiled.exact_terms(), shots, 5.0);
         let est = estimate_allocated(
             &compiled.spec,
-            &compiled.samplers(),
+            compiled.plan_terms(),
             shots,
             Allocator::Proportional,
             &mut rng,

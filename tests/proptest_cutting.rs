@@ -67,7 +67,7 @@ proptest! {
             .map(|_| {
                 nme_wire_cutting::qpd::estimate_allocated(
                     &prepared.spec,
-                    &prepared.samplers(),
+                    &prepared.terms,
                     shots,
                     nme_wire_cutting::qpd::Allocator::Proportional,
                     &mut rng,

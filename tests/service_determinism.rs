@@ -16,7 +16,7 @@
 //!   rebuilt from public calls reproduces it.
 
 use nme_wire_cutting::experiments::service_load::{build_jobs, ServiceLoadConfig};
-use nme_wire_cutting::qpd::{Allocator, SequentialAllocator};
+use nme_wire_cutting::qpd::{Allocator, SequentialAllocator, TermSampler};
 use nme_wire_cutting::qsample::{KeyHasher, StreamRng};
 use nme_wire_cutting::qsim::{Circuit, PauliString};
 use nme_wire_cutting::wirecut::planner::CutPlanner;
@@ -346,7 +346,7 @@ fn the_cache_tells_apart_circuits_one_bit_apart() {
 /// updates and the pooled allocation.
 fn replay_lane_law(svc: &CutService, job: &EstimationJob) -> (f64, Vec<BatchUpdate>, Vec<u64>) {
     let (plan, key, _) = svc.compiled(&job.circuit, &job.observable);
-    let samplers = plan.samplers();
+    let terms = plan.plan_terms();
     let mut seq = SequentialAllocator::new(plan.spec.len());
     let mut updates = Vec::new();
     let per_batch = job.shots / job.batches;
@@ -369,7 +369,7 @@ fn replay_lane_law(svc: &CutService, job: &EstimationJob) -> (f64, Vec<BatchUpda
         for (term, &n) in allocation.iter().enumerate() {
             if n > 0 {
                 let mut lane = StreamRng::new(job.seed, key.0).derive(&[batch, term as u64]);
-                seq.record(term, samplers[term].sample_observable_sum(n, &mut lane), n);
+                seq.record(term, terms[term].sample_observable_sum(n, &mut lane), n);
             }
         }
         updates.push(BatchUpdate {
