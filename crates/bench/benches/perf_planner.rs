@@ -98,7 +98,9 @@ fn compiled_plan_sampling(c: &mut Criterion) {
 /// odometer on prebuilt fragment blocks: cached rides the prefix stack
 /// (amortized one fused multiplication per term), uncached re-contracts
 /// every frontier from scratch — the `perf-diff` series that tracks the
-/// cache payoff on every PR.
+/// cache payoff on every PR. `walk` is the compile path's depth-first
+/// walk of the same odometer: the cached sweep's ops and values,
+/// without a pick per term.
 fn cut_count_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_planner/cut_scaling");
     group.sample_size(10);
@@ -154,6 +156,13 @@ fn cut_count_scaling(c: &mut Criterion) {
             &picks,
             |b, picks| b.iter(|| picks.iter().map(|p| blocks.term_value(p)).sum::<f64>()),
         );
+        group.bench_function(BenchmarkId::new("walk", cuts), |b| {
+            b.iter(|| {
+                let mut sum = 0.0;
+                blocks.walk(|v| sum += v);
+                sum
+            })
+        });
     }
     group.finish();
 }

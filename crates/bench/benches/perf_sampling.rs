@@ -183,12 +183,46 @@ fn batch_draws(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cold `Sequential` job's second batch split: the 8-cut ladder's
+/// 2¹⁶ shots in four batches, with the first batch's draws recorded so
+/// the split runs on σ̂. Allocated two ways: the owned
+/// `next_allocation`, which builds its buffers per call, and
+/// `next_allocation_into`, which reuses the allocator's and the
+/// caller's. The set-up checks that the two splits are equal.
+fn sequential_allocation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qpd/sequential_allocation");
+    let plan = ladder_plan();
+    let terms = plan.plan_terms();
+    let batch = (1u64 << 16) / 4;
+    let mut seq = SequentialAllocator::new(terms.len());
+    let first = seq.next_allocation(&plan.spec, batch);
+    let root = StreamRng::new(0x5EED, 0xD1CE);
+    BernoulliTerm::sample_batch(terms, &first, &root.split(0), |term, sum| {
+        seq.record(term, sum, first[term]);
+    });
+    let mut out = Vec::new();
+    seq.next_allocation_into(&plan.spec, batch, &mut out);
+    assert_eq!(out, seq.next_allocation(&plan.spec, batch));
+    group.throughput(Throughput::Elements(terms.len() as u64));
+    group.bench_function("owned", |b| {
+        b.iter(|| seq.next_allocation(&plan.spec, batch))
+    });
+    group.bench_function("into", |b| {
+        b.iter(|| {
+            seq.next_allocation_into(&plan.spec, batch, &mut out);
+            out[0]
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     shot_sampling,
     estimator_modes,
     sweep,
     cut_compilation,
-    batch_draws
+    batch_draws,
+    sequential_allocation
 );
 criterion_main!(benches);

@@ -772,6 +772,28 @@ impl FragmentBlocks {
         }
     }
 
+    /// Every product term's exact value, handed to `emit` in
+    /// [`qpd::QpdSpec::product`] order (last group fastest), and the
+    /// sweep counters of the whole odometer.
+    ///
+    /// One depth-first walk: level `g` holds the frontier before group
+    /// `g`'s apply, descending from it runs the ops up to the next
+    /// group's apply once per digit value, and the last level emits one
+    /// fused dot per term (or runs the unfused tail). It shares
+    /// [`FrontierSweep`]'s replay step, so the values and counters are
+    /// those of [`FrontierSweep::term_value`] fed every pick in that
+    /// order, bit for bit. A plan with no cut group emits its one term,
+    /// [`term_value`](Self::term_value) at `&[]`, and counts nothing.
+    pub fn walk(&self, mut emit: impl FnMut(f64)) -> SweepStats {
+        if self.transfers.is_empty() {
+            emit(self.term_value(&[]));
+            return SweepStats::default();
+        }
+        let mut sweep = self.sweep();
+        sweep.walk(&mut emit);
+        sweep.stats
+    }
+
     /// Executes one schedule op against the frontier, returning the
     /// frontier multiplications performed. An absorb builds the new
     /// frontier in `scratch` and swaps it in (see [`absorb_sparse`]).
@@ -834,7 +856,8 @@ impl FragmentBlocks {
 ///
 /// Every frontier lives in a buffer the sweep owns and reuses: once
 /// the buffers have grown to the plan's frontier sizes, evaluating a
-/// term allocates nothing.
+/// term allocates nothing. [`FragmentBlocks::walk`] runs the same
+/// replay step over the whole odometer, depth first.
 pub struct FrontierSweep<'a> {
     blocks: &'a FragmentBlocks,
     last_pick: Vec<usize>,
@@ -857,8 +880,7 @@ impl FrontierSweep<'_> {
     /// call sequence (resumed and from-scratch evaluations run the
     /// identical op sequence on identical snapshots).
     pub fn term_value(&mut self, pick: &[usize]) -> f64 {
-        let sched = &self.blocks.schedule;
-        let num_groups = self.blocks.transfers.len();
+        let num_groups = self.snapshots.len();
         assert_eq!(pick.len(), num_groups);
         let last = num_groups - 1;
         // Resume at the first differing digit; snapshots[r] depends
@@ -871,44 +893,97 @@ impl FrontierSweep<'_> {
             }
             c.min(last)
         } else {
+            self.start(pick);
             0
         };
-        self.stats.terms += 1;
-        self.stats.prefix_hits += resume;
-        self.stats.prefix_rebuilds += num_groups - resume;
-        self.stats.frontier_ops_uncached += sched.ops_per_term;
-        let from_scratch = !self.has_pick;
-        let end_op = sched.group_op[last];
         // When only the fastest digit moved, `snapshots[last]` is still
         // valid and nothing before the last apply needs replaying.
-        if from_scratch || resume < last {
-            let start_op = if from_scratch {
-                self.work.clear();
-                self.work.push(1.0);
-                0
-            } else {
-                self.work.clone_from(&self.snapshots[resume]);
-                sched.group_op[resume]
-            };
-            // Replay ops up to (excluding) the last group's apply,
-            // refreshing the snapshots the new digits invalidated.
-            for op_i in start_op..end_op {
-                let op = &sched.ops[op_i];
-                if let SweepOp::Apply { group, .. } = op {
-                    if *group > resume || from_scratch {
-                        self.snapshots[*group].clone_from(&self.work);
-                    }
-                }
-                self.stats.frontier_ops +=
-                    self.blocks
-                        .exec_op(op, pick, &mut self.work, &mut self.scratch);
-            }
-            // The replayed frontier becomes the last snapshot; the old
-            // one's buffer becomes the next working frontier.
-            std::mem::swap(&mut self.snapshots[last], &mut self.work);
+        for g in resume..last {
+            self.descend(g, pick);
         }
         self.last_pick.copy_from_slice(pick);
         self.has_pick = true;
+        self.leaf(pick, resume)
+    }
+
+    /// The sweep's hit/op counters so far.
+    pub fn stats(&self) -> SweepStats {
+        self.stats
+    }
+
+    /// Every term in odometer order, depth first: the digits before the
+    /// last change only when the last has run through all its values,
+    /// and each change replays from the level it happened at. These are
+    /// the replays and leaves [`term_value`](Self::term_value) runs on
+    /// the same picks, without comparing or copying them.
+    fn walk(&mut self, emit: &mut impl FnMut(f64)) {
+        let lens = self.blocks.group_lens();
+        let last = lens.len() - 1;
+        let mut pick = vec![0usize; lens.len()];
+        self.start(&pick);
+        let mut resume = 0;
+        loop {
+            for g in resume..last {
+                self.descend(g, &pick);
+            }
+            for t in 0..lens[last] {
+                pick[last] = t;
+                emit(self.leaf(&pick, if t == 0 { resume } else { last }));
+            }
+            // Step the digits before the last, fastest first.
+            resume = last;
+            loop {
+                if resume == 0 {
+                    return;
+                }
+                resume -= 1;
+                pick[resume] += 1;
+                if pick[resume] < lens[resume] {
+                    break;
+                }
+                pick[resume] = 0;
+            }
+        }
+    }
+
+    /// Sets `snapshots[0]` to the frontier before the first group's
+    /// apply: the pick-independent absorbs before it, run on `[1.0]`.
+    fn start(&mut self, pick: &[usize]) {
+        self.work.clear();
+        self.work.push(1.0);
+        self.run(0..self.blocks.schedule.group_op[0], pick);
+        std::mem::swap(&mut self.snapshots[0], &mut self.work);
+    }
+
+    /// The replay step: rebuilds `snapshots[g + 1]` from `snapshots[g]`
+    /// by running group `g`'s apply with digit `pick[g]` and every op up
+    /// to the next group's apply. The old snapshot's buffer becomes the
+    /// next working frontier.
+    fn descend(&mut self, g: usize, pick: &[usize]) {
+        let group_op = &self.blocks.schedule.group_op;
+        self.work.clone_from(&self.snapshots[g]);
+        self.run(group_op[g]..group_op[g + 1], pick);
+        std::mem::swap(&mut self.snapshots[g + 1], &mut self.work);
+    }
+
+    /// Runs schedule ops `range` on the working frontier.
+    fn run(&mut self, range: std::ops::Range<usize>, pick: &[usize]) {
+        let blocks = self.blocks;
+        for op in &blocks.schedule.ops[range] {
+            self.stats.frontier_ops += blocks.exec_op(op, pick, &mut self.work, &mut self.scratch);
+        }
+    }
+
+    /// Finishes one term from `snapshots[last]` — one fused dot, or the
+    /// last apply and the trailing absorbs — and counts it as resumed at
+    /// digit `resume`.
+    fn leaf(&mut self, pick: &[usize], resume: usize) -> f64 {
+        let sched = &self.blocks.schedule;
+        let last = self.snapshots.len() - 1;
+        self.stats.terms += 1;
+        self.stats.prefix_hits += resume;
+        self.stats.prefix_rebuilds += last + 1 - resume;
+        self.stats.frontier_ops_uncached += sched.ops_per_term;
         if let Some(fused) = &sched.fused_tail {
             self.stats.frontier_ops += 1;
             fused[pick[last]]
@@ -920,19 +995,10 @@ impl FrontierSweep<'_> {
             // Tail too large to fuse: run the last apply and the
             // trailing absorbs on the working frontier.
             self.work.clone_from(&self.snapshots[last]);
-            for op in &sched.ops[end_op..] {
-                self.stats.frontier_ops +=
-                    self.blocks
-                        .exec_op(op, pick, &mut self.work, &mut self.scratch);
-            }
+            self.run(sched.group_op[last]..sched.ops.len(), pick);
             debug_assert_eq!(self.work.len(), 1);
             self.work[0]
         }
-    }
-
-    /// The sweep's hit/op counters so far.
-    pub fn stats(&self) -> SweepStats {
-        self.stats
     }
 }
 
@@ -1519,6 +1585,12 @@ mod tests {
                 }
                 pick
             };
+            // The walk runs the same unfused tails, in odometer order.
+            let mut walked = Vec::with_capacity(total);
+            blocks.walk(|v| walked.push(v.to_bits()));
+            assert!((0..total)
+                .map(|c| blocks.term_value(&pick_of(c)).to_bits())
+                .eq(walked));
             for order in [(0..total).collect::<Vec<_>>(), (0..total).rev().collect()] {
                 let mut sweep = blocks.sweep();
                 for combo in order {

@@ -655,12 +655,13 @@ impl CompiledPlan {
     ///
     /// Builds per-fragment tensor blocks once ([`FragmentBlocks::build`],
     /// `Σ variants(fragment)` compiled circuits) and evaluates each of
-    /// the `Π terms(group)` product terms through the prefix-cached
-    /// frontier sweep ([`FragmentBlocks::sweep`]) — no per-term circuit
-    /// is ever stitched or simulated, and terms sharing an odometer
-    /// prefix share their partial frontier contractions. The sweep's
-    /// hit/op counters land in the [`BackendReport`]. A plan with no cut
-    /// is one unit-coefficient term, the contraction of its fragments.
+    /// the `Π terms(group)` product terms in one depth-first walk of the
+    /// prefix-cached frontier sweep ([`FragmentBlocks::walk`]) — no
+    /// per-term circuit is ever stitched or simulated, and terms sharing
+    /// an odometer prefix share their partial frontier contractions. The
+    /// sweep's hit/op counters land in the [`BackendReport`]. A plan
+    /// with no cut is one unit-coefficient term, the contraction of its
+    /// fragments.
     ///
     /// In debug/test builds the compiled plan's cut groups are verified
     /// on the spot ([`CompiledPlan::verify_groups`]), so malformed term
@@ -677,34 +678,14 @@ impl CompiledPlan {
             blocks.group_lens(),
             "group transfer/spec term mismatch"
         );
+        // Every term in `QpdSpec::product` order, so coefficients line up.
+        let mut terms = Vec::with_capacity(spec.len());
+        let stats = blocks.walk(|value| terms.push(BernoulliTerm::new(value)));
         let mut backend_report = blocks.backend_report();
-        let terms = if lens.is_empty() {
-            vec![BernoulliTerm::new(blocks.term_value(&[]))]
-        } else {
-            let mut terms = Vec::with_capacity(spec.len());
-            let mut sweep = blocks.sweep();
-            // Row-major enumeration, last group fastest — the same order
-            // `QpdSpec::product` uses, so coefficients line up and every
-            // consecutive pair of picks shares the longest possible prefix.
-            // One pick buffer, stepped in place like an odometer.
-            let mut pick = vec![0usize; lens.len()];
-            for _ in 0..spec.len() {
-                terms.push(BernoulliTerm::new(sweep.term_value(&pick)));
-                for g in (0..lens.len()).rev() {
-                    pick[g] += 1;
-                    if pick[g] < lens[g] {
-                        break;
-                    }
-                    pick[g] = 0;
-                }
-            }
-            let stats = sweep.stats();
-            backend_report.frontier_ops = stats.frontier_ops;
-            backend_report.frontier_ops_uncached = stats.frontier_ops_uncached;
-            backend_report.prefix_hits = stats.prefix_hits;
-            backend_report.prefix_rebuilds = stats.prefix_rebuilds;
-            terms
-        };
+        backend_report.frontier_ops = stats.frontier_ops;
+        backend_report.frontier_ops_uncached = stats.frontier_ops_uncached;
+        backend_report.prefix_hits = stats.prefix_hits;
+        backend_report.prefix_rebuilds = stats.prefix_rebuilds;
         let summaries = blocks.summaries().to_vec();
         Self::assemble(plan, spec, terms, backend_report, summaries)
     }

@@ -36,7 +36,12 @@
 //!   is re-planned from the per-term variance observed so far
 //!   ([`qpd::SequentialAllocator`]), converging to the Neyman-optimal
 //!   [`qpd::neyman_allocation`] as counts grow; static proportional and
-//!   uniform splits remain available for ablation.
+//!   uniform splits remain available for ablation. A job owns one
+//!   allocation buffer: each sequential batch is split into it by one
+//!   fused Neyman pass over the allocator's own buffers
+//!   ([`qpd::SequentialAllocator::next_allocation_into`]), and a static
+//!   split is computed once per distinct batch budget. Past its first
+//!   batch, a job allocates nothing per term.
 //! * **Work-stealing fan-out** — [`CutService::run_jobs`] schedules many
 //!   jobs by fleet index on the [`qsample::grid::ShardedGrid`] pool, the
 //!   same engine behind every experiment sweep. Each worker keeps its
@@ -430,6 +435,11 @@ fn run_compiled<F: FnMut(&BatchUpdate)>(
         0
     };
     let root = StreamRng::new(job.seed, key.0);
+    // The job's one allocation buffer. A static split depends only on
+    // the budget, so it is recomputed only when the budget changes: at
+    // most twice per job, as only the last batch's budget can differ.
+    let mut allocation = Vec::new();
+    let mut split_budget = None;
     for batch in first..job.batches {
         let budget = if batch + 1 == job.batches {
             job.shots - per_batch * (job.batches - 1)
@@ -439,13 +449,21 @@ fn run_compiled<F: FnMut(&BatchUpdate)>(
         if budget == 0 {
             continue;
         }
-        let allocation = match job.mode {
+        match job.mode {
+            AllocationMode::StaticProportional | AllocationMode::StaticUniform
+                if split_budget == Some(budget) => {}
             AllocationMode::StaticProportional => {
-                Allocator::Proportional.allocate(&plan.spec, budget)
+                allocation = Allocator::Proportional.allocate(&plan.spec, budget);
+                split_budget = Some(budget);
             }
-            AllocationMode::StaticUniform => Allocator::Uniform.allocate(&plan.spec, budget),
-            AllocationMode::Sequential => seq.next_allocation(&plan.spec, budget),
-        };
+            AllocationMode::StaticUniform => {
+                allocation = Allocator::Uniform.allocate(&plan.spec, budget);
+                split_budget = Some(budget);
+            }
+            AllocationMode::Sequential => {
+                seq.next_allocation_into(&plan.spec, budget, &mut allocation)
+            }
+        }
         // The whole determinism contract in one call: term `t` draws on
         // lane `root.split(batch).split(t)`, i.e. `derive(&[batch, t])`,
         // addressed by content (seed, plan key, batch, term) and nothing

@@ -67,26 +67,16 @@ pub fn neyman_allocation(spec: &QpdSpec, sigmas: &[f64], total: u64) -> Vec<u64>
         sigmas.iter().all(|&s| s.is_finite() && s >= 0.0),
         "per-term σ must be finite and non-negative: {sigmas:?}"
     );
-    let weights: Vec<f64> = spec
-        .terms()
-        .iter()
-        .zip(sigmas.iter())
-        .map(|(t, &s)| t.coefficient.abs() * s)
-        .collect();
-    let wsum: f64 = weights.iter().sum();
-    if wsum < 1e-300 {
-        // All terms noiseless: fall back to proportional.
-        return Allocator::Proportional.allocate(spec, total);
-    }
-    let m = spec.len() as u64;
-    if total <= m {
-        return Allocator::Uniform.allocate(spec, total);
-    }
-    // Reserve one shot per term, Neyman-split the rest.
-    let mut counts = largest_remainder(&weights, total - m);
-    for c in counts.iter_mut() {
-        *c += 1;
-    }
+    let mut scratch = Apportionment::default();
+    // `abs` only clears the sign of a `−0.0` σ, which weighs as `+0.0`.
+    let wsum = scratch.weigh(
+        spec.terms()
+            .iter()
+            .zip(sigmas)
+            .map(|(t, &s)| t.coefficient.abs() * s.abs()),
+    );
+    let mut counts = Vec::with_capacity(spec.len());
+    scratch.neyman(spec, wsum, total, &mut counts);
     counts
 }
 
@@ -99,7 +89,10 @@ pub fn neyman_allocation(spec: &QpdSpec, sigmas: &[f64], total: u64) -> Vec<u64>
 /// it is found by selection in `O(len)` rather than by sorting every
 /// index. When floating-point error leaves at least one shot per part,
 /// each whole round goes to every part before the top set takes the
-/// rest.
+/// rest. Above 2⁵³ shots the floors can instead overshoot `total`
+/// (`total as f64` rounds); the excess is then taken back one shot each
+/// from the parts with the smallest fractional remainders, ties broken
+/// by higher index, so the counts always sum to exactly `total`.
 ///
 /// # Panics
 /// Panics with a uniform message on an empty weight
@@ -110,41 +103,194 @@ pub fn largest_remainder(weights: &[f64], total: u64) -> Vec<u64> {
     // Validate before any arithmetic: a NaN weight (e.g. `inf · 0` from
     // a degenerate σ upstream) previously survived to the remainder sort
     // and died in a bare `partial_cmp(..).unwrap()`.
+    check_weights(weights);
+    let mut scratch = Apportionment::default();
+    let sum = scratch.weigh(weights.iter().map(|w| w.abs()));
+    assert!(sum > 0.0, "zero weight vector: {weights:?}");
+    let mut counts = Vec::with_capacity(weights.len());
+    scratch.apportion(sum, total, 0, &mut counts);
+    counts
+}
+
+/// Panics, naming the weights, unless every weight is finite and
+/// non-negative.
+fn check_weights(weights: &[f64]) {
     assert!(
         weights.iter().all(|&w| w.is_finite() && w >= 0.0),
         "allocation weights must be finite and non-negative: {weights:?}"
     );
-    let sum: f64 = weights.iter().sum();
-    assert!(sum > 0.0, "zero weight vector: {weights:?}");
-    let mut counts = Vec::with_capacity(weights.len());
-    let mut fractions = Vec::with_capacity(weights.len());
-    for w in weights {
-        let ideal = w / sum * total as f64;
-        let floor = ideal.floor();
-        counts.push(floor as u64);
-        fractions.push(ideal - floor);
-    }
-    let assigned: u64 = counts.iter().sum();
-    let remainder = total.saturating_sub(assigned);
-    let len = weights.len() as u64;
-    if remainder >= len {
-        for c in counts.iter_mut() {
-            *c += remainder / len;
+}
+
+/// The per-term buffers of the one apportionment kernel behind
+/// [`largest_remainder`], [`neyman_allocation`] and
+/// [`SequentialAllocator::next_allocation_into`]. Every call overwrites
+/// them, so an owner that keeps one allocates nothing once they have
+/// grown to its term count.
+#[derive(Clone, Debug, Default)]
+struct Apportionment {
+    /// The weights, overwritten in place by their fractional remainders.
+    fractions: Vec<f64>,
+    /// Candidate part indices of a top-set selection.
+    order: Vec<u32>,
+}
+
+impl Apportionment {
+    /// Buffers sized for `len` parts.
+    fn with_len(len: usize) -> Self {
+        Apportionment {
+            fractions: Vec::with_capacity(len),
+            order: Vec::with_capacity(len),
         }
     }
-    let extra = (remainder % len) as usize;
-    if extra > 0 {
-        // Fraction descending, then index ascending: a total order, so
-        // its top `extra` set is unique. `total_cmp` has no panic path.
-        let mut order: Vec<usize> = (0..weights.len()).collect();
-        order.select_nth_unstable_by(extra - 1, |&i, &j| {
-            fractions[j].total_cmp(&fractions[i]).then(i.cmp(&j))
-        });
-        for &i in &order[..extra] {
-            counts[i] += 1;
+
+    /// Stores `weights`, non-negative and never `−0.0`, and returns their
+    /// sum, added left to right as `Iterator::sum` adds.
+    fn weigh(&mut self, weights: impl Iterator<Item = f64>) -> f64 {
+        self.fractions.clear();
+        let mut sum = -0.0;
+        self.fractions.extend(weights.inspect(|&w| sum += w));
+        sum
+    }
+
+    /// Neyman's split of `total` over the stored weights, whose sum is
+    /// `wsum`, into `counts`: one shot per term and the rest by largest
+    /// remainder. All-zero weights fall back to the proportional split,
+    /// and a budget of at most one shot per term to the uniform one.
+    fn neyman(&mut self, spec: &QpdSpec, wsum: f64, total: u64, counts: &mut Vec<u64>) {
+        if wsum < 1e-300 {
+            // All terms noiseless: fall back to proportional.
+            counts.clear();
+            counts.extend(Allocator::Proportional.allocate(spec, total));
+            return;
+        }
+        let m = spec.len() as u64;
+        if total <= m {
+            counts.clear();
+            counts.extend(Allocator::Uniform.allocate(spec, total));
+            return;
+        }
+        if !wsum.is_finite() {
+            // Only a weight `|c|·σ` that overflowed can make the sum
+            // infinite; name it as `largest_remainder` would.
+            check_weights(&self.fractions);
+        }
+        // Reserve one shot per term, Neyman-split the rest.
+        self.apportion(wsum, total - m, 1, counts);
+    }
+
+    /// Largest-remainder apportionment of `total` over the stored
+    /// weights, whose sum `wsum` is positive, plus `minimum` shots to
+    /// every part, written to `counts`.
+    ///
+    /// The passes: one computes every ideal share `w / wsum · total`,
+    /// writes its floor to `counts` and its fractional remainder over
+    /// the weight; the top-`extra` set is selected on `order`; one
+    /// last pass adds the whole rounds and `minimum`. The truncating
+    /// cast is `ideal.floor()` for every `ideal` in `[0, 2⁶⁴]`, and
+    /// `w ≤ wsum` keeps it there.
+    fn apportion(&mut self, wsum: f64, total: u64, minimum: u64, counts: &mut Vec<u64>) {
+        let scale = total as f64;
+        // Exact, though the floors may sum past `u64::MAX`.
+        let mut assigned = 0u128;
+        counts.clear();
+        counts.extend(self.fractions.iter_mut().map(|w| {
+            let ideal = *w / wsum * scale;
+            // The same floor either way; below 2⁶³ the signed casts are
+            // single instructions.
+            let (whole, floored) = if ideal < I64_LIMIT {
+                let whole = ideal as i64;
+                (whole as u64, whole as f64)
+            } else {
+                let whole = ideal as u64;
+                (whole, whole as f64)
+            };
+            *w = ideal - floored;
+            assigned += u128::from(whole);
+            whole
+        }));
+        let len = counts.len() as u64;
+        let mut rounds = 0;
+        match u64::try_from(assigned) {
+            Ok(assigned) if assigned <= total => {
+                let remainder = total - assigned;
+                rounds = remainder / len;
+                let extra = (remainder % len) as usize;
+                if extra > 0 {
+                    // Fraction descending, then index ascending: a total
+                    // order, so its top `extra` set is unique.
+                    // `total_cmp` has no panic path.
+                    let fractions = &self.fractions;
+                    let order = fill_indices(&mut self.order, counts.len());
+                    order.select_nth_unstable_by(extra - 1, |&i, &j| {
+                        fractions[j as usize]
+                            .total_cmp(&fractions[i as usize])
+                            .then(i.cmp(&j))
+                    });
+                    for &i in &order[..extra] {
+                        counts[i as usize] += 1;
+                    }
+                }
+            }
+            _ => self.take_back(assigned - u128::from(total), counts),
+        }
+        let add = rounds + minimum;
+        if add > 0 {
+            for c in counts.iter_mut() {
+                *c += add;
+            }
         }
     }
-    counts
+
+    /// Takes `excess` shots back from the floors in `counts`: one each
+    /// from the non-empty parts with the smallest fractional remainders,
+    /// ties broken by higher index (the reverse of the hand-out order),
+    /// in whole rounds while the excess covers every non-empty part.
+    /// Only budgets above 2⁵³ overshoot, so this path is cold.
+    fn take_back(&mut self, mut excess: u128, counts: &mut [u64]) {
+        while excess > 0 {
+            let fractions = &self.fractions;
+            fill_indices(&mut self.order, counts.len());
+            self.order.retain(|&i| counts[i as usize] > 0);
+            let order = &mut self.order;
+            let n = order.len() as u128;
+            if excess >= n {
+                // A whole round from every non-empty part, as many times
+                // as the excess and the smallest such count allow.
+                let least = order
+                    .iter()
+                    .map(|&i| counts[i as usize])
+                    .min()
+                    .expect("a positive excess leaves a non-empty part");
+                let r = (excess / n).min(u128::from(least));
+                for &i in order.iter() {
+                    counts[i as usize] -= r as u64;
+                }
+                excess -= r * n;
+            } else {
+                let k = excess as usize;
+                order.select_nth_unstable_by(k - 1, |&i, &j| {
+                    fractions[i as usize]
+                        .total_cmp(&fractions[j as usize])
+                        .then(j.cmp(&i))
+                });
+                for &i in &order[..k] {
+                    counts[i as usize] -= 1;
+                }
+                excess = 0;
+            }
+        }
+    }
+}
+
+/// `2⁶³`, the first `f64` a truncating cast to `i64` cannot hold.
+const I64_LIMIT: f64 = 9_223_372_036_854_775_808.0;
+
+/// Refills `order` with the indices `0..len` as `u32`s: half the bytes
+/// of `usize` indices.
+fn fill_indices(order: &mut Vec<u32>, len: usize) -> &mut [u32] {
+    order.clear();
+    order.extend(0..u32::try_from(len).expect("more parts than u32 indices"));
+    order
 }
 
 /// Samples a multinomial allocation: `total` term indices i.i.d. with
@@ -176,6 +322,10 @@ pub fn stochastic_allocation<R: Rng + ?Sized>(spec: &QpdSpec, total: u64, rng: &
 pub struct SequentialAllocator {
     sums: Vec<f64>,
     counts: Vec<u64>,
+    /// The apportionment buffers [`next_allocation_into`] reuses.
+    ///
+    /// [`next_allocation_into`]: SequentialAllocator::next_allocation_into
+    scratch: Apportionment,
 }
 
 impl SequentialAllocator {
@@ -185,6 +335,7 @@ impl SequentialAllocator {
         SequentialAllocator {
             sums: vec![0.0; num_terms],
             counts: vec![0; num_terms],
+            scratch: Apportionment::with_len(num_terms),
         }
     }
 
@@ -214,25 +365,45 @@ impl SequentialAllocator {
     pub fn sigma_estimates(&self) -> Vec<f64> {
         self.sums
             .iter()
-            .zip(self.counts.iter())
-            .map(|(&sum, &n)| {
-                if n == 0 {
-                    1.0
-                } else {
-                    let mean = (sum / n as f64).clamp(-1.0, 1.0);
-                    let var = (1.0 - mean * mean).max(0.0);
-                    ((var * n as f64 + 1.0) / (n as f64 + 1.0)).sqrt()
-                }
-            })
+            .zip(&self.counts)
+            .map(|(&sum, &n)| sigma_hat(sum, n))
             .collect()
     }
 
     /// Proposes the split of the next `batch` shots: Neyman-optimal for
     /// the current σ̂ estimates. Before any data this equals the
     /// proportional split (all σ̂ = 1). Sums to exactly `batch`.
+    ///
+    /// Builds its own buffers; a batch loop that keeps the allocator
+    /// calls [`next_allocation_into`](Self::next_allocation_into), which
+    /// returns the same split without allocating.
     pub fn next_allocation(&self, spec: &QpdSpec, batch: u64) -> Vec<u64> {
-        assert_eq!(spec.len(), self.sums.len());
-        neyman_allocation(spec, &self.sigma_estimates(), batch)
+        let mut scratch = Apportionment::with_len(self.sums.len());
+        let mut counts = Vec::with_capacity(self.sums.len());
+        neyman_sequential(
+            spec,
+            &self.sums,
+            &self.counts,
+            &mut scratch,
+            batch,
+            &mut counts,
+        );
+        counts
+    }
+
+    /// [`next_allocation`](Self::next_allocation) written into `out`
+    /// (cleared first), on buffers the allocator owns: σ̂, each weight
+    /// `|cᵢ|·σ̂ᵢ` and their sum in one pass, then one apportionment. Once
+    /// `out` has grown to the term count, a call allocates nothing.
+    pub fn next_allocation_into(&mut self, spec: &QpdSpec, batch: u64, out: &mut Vec<u64>) {
+        neyman_sequential(
+            spec,
+            &self.sums,
+            &self.counts,
+            &mut self.scratch,
+            batch,
+            out,
+        );
     }
 
     /// The pooled estimate `Σᵢ cᵢ · meanᵢ` over everything recorded so
@@ -251,6 +422,57 @@ impl SequentialAllocator {
             .map(|(i, t)| t.coefficient * self.mean(i))
             .sum()
     }
+}
+
+/// The shrunk σ̂ of a term whose `n` pooled ±1 shots sum to `sum`:
+/// `√(((1 − mean²)·n + 1)/(n + 1))`, and `1.0` for an unseen term. The
+/// formula runs at `n = 0` too and its value is then discarded, so a
+/// run of terms compiles to straight-line vector code.
+fn sigma_hat(sum: f64, n: u64) -> f64 {
+    let shots = n as f64;
+    let mean = (sum / shots).clamp(-1.0, 1.0);
+    let var = (1.0 - mean * mean).max(0.0);
+    let sigma = ((var * shots + 1.0) / (shots + 1.0)).sqrt();
+    if n == 0 {
+        1.0
+    } else {
+        sigma
+    }
+}
+
+/// Terms per run of the σ̂ pass: each run's weights are computed
+/// together, then added to the running sum in term order.
+const SIGMA_RUN: usize = 16;
+
+/// The Neyman split of `batch` for the σ̂ that `sums` and `counts`
+/// give, on `scratch`, into `out`: the weights `|cᵢ|·σ̂ᵢ` and their
+/// left-to-right sum in one pass, then [`Apportionment::neyman`].
+fn neyman_sequential(
+    spec: &QpdSpec,
+    sums: &[f64],
+    counts: &[u64],
+    scratch: &mut Apportionment,
+    batch: u64,
+    out: &mut Vec<u64>,
+) {
+    assert_eq!(spec.len(), sums.len());
+    let weights = &mut scratch.fractions;
+    weights.clear();
+    weights.resize(sums.len(), 0.0);
+    let mut wsum = -0.0;
+    let runs = weights
+        .chunks_mut(SIGMA_RUN)
+        .zip(spec.terms().chunks(SIGMA_RUN))
+        .zip(sums.chunks(SIGMA_RUN).zip(counts.chunks(SIGMA_RUN)));
+    for ((weights, terms), (sums, counts)) in runs {
+        for ((w, t), (&sum, &n)) in weights.iter_mut().zip(terms).zip(sums.iter().zip(counts)) {
+            *w = t.coefficient.abs() * sigma_hat(sum, n);
+        }
+        for &w in weights.iter() {
+            wsum += w;
+        }
+    }
+    scratch.neyman(spec, wsum, batch, out);
 }
 
 #[cfg(test)]

@@ -153,6 +153,7 @@ pub fn estimate_sequential<T: TermSampler, R: Rng>(
         return 0.0;
     }
     let mut seq = crate::allocator::SequentialAllocator::new(spec.len());
+    let mut alloc = Vec::with_capacity(spec.len());
     let per_batch = total_shots / num_batches;
     // With fewer shots than batches every batch but the last is empty,
     // so start there: empty batches draw nothing, so no draw moves.
@@ -170,7 +171,7 @@ pub fn estimate_sequential<T: TermSampler, R: Rng>(
         if budget == 0 {
             continue;
         }
-        let alloc = seq.next_allocation(spec, budget);
+        seq.next_allocation_into(spec, budget, &mut alloc);
         for (i, (&n, term)) in alloc.iter().zip(terms.iter()).enumerate() {
             if n > 0 {
                 seq.record(i, term.sample_observable_sum(n, rng), n);

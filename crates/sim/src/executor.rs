@@ -760,6 +760,12 @@ impl CompiledSampler {
 
     /// One single-shot estimate of Z on `qubit`: draw a branch, then a
     /// terminal measurement outcome; returns ±1.
+    ///
+    /// No production path draws shots this way: a cut term's ±1 law is
+    /// fixed by its exact value and drawn as one binomial
+    /// (`qpd::BernoulliTerm`). This stays as the per-shot reference that
+    /// `tests/statistical_equivalence.rs`, this module's tests and the
+    /// `wirecut::executor` oracle test hold the batched draws against.
     pub fn sample_z<R: Rng + ?Sized>(&self, qubit: usize, rng: &mut R) -> f64 {
         let leaf = self.sample_leaf(rng);
         let p1 = leaf.state.prob_one(qubit);
@@ -803,6 +809,11 @@ impl CompiledSampler {
     /// measurement within each occupied leaf is one binomial draw on
     /// that leaf's `P(1)`. Identical in distribution to summing `shots`
     /// calls to [`sample_z`](Self::sample_z), in `O(#leaves)` RNG work.
+    ///
+    /// Like [`sample_z`](Self::sample_z), a test reference with no
+    /// production caller: the branch-tree draw that
+    /// `tests/statistical_equivalence.rs`, `tests/proptest_sampling.rs`
+    /// and this module's tests compare with the per-shot loop.
     pub fn sample_z_batch<R: Rng + ?Sized>(&self, qubit: usize, shots: u64, rng: &mut R) -> f64 {
         let mut sum = 0.0;
         for (leaf, &n) in self.leaves.iter().zip(self.sample_batch(shots, rng).iter()) {

@@ -171,10 +171,23 @@ proptest! {
 fn largest_remainder_matches_the_oracle_at_the_edges() {
     // Budgets at and around the term count, where the remainder pass
     // hands out the most shots, and heavy ties throughout.
+    // Totals at 2⁵² and 2⁵³ ± 1, where `total as f64` starts to round,
+    // pin the kernel's truncating floor against `floor()`.
     for len in [1usize, 2, 3, 7, 729, 6561] {
         let weights: Vec<f64> = (0..len).map(|i| [1.0, 1.0, 3.0][i % 3] / 7.0).collect();
         let n = len as u64;
-        for total in [0, 1, n - 1, n, n + 1, 10 * n] {
+        for total in [
+            0,
+            1,
+            n - 1,
+            n,
+            n + 1,
+            10 * n,
+            1 << 52,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+        ] {
             assert_eq!(
                 largest_remainder(&weights, total),
                 largest_remainder_full_sort(&weights, total),
@@ -193,6 +206,50 @@ fn largest_remainder_matches_the_oracle_at_the_edges() {
     );
     assert_eq!(largest_remainder(&weights, 10), vec![2; 5]);
     assert_eq!(largest_remainder_full_sort(&weights, 10), vec![2; 5]);
+}
+
+/// Budgets above 2⁵³, where `total as f64` rounds and the floors alone
+/// can overshoot `total`, still sum to exactly `total`, up to
+/// `u64::MAX`, in debug and release builds alike. The full-sort oracle
+/// cannot follow here (its own `u64` sum of the floors overflows), so
+/// the check is the documented exact sum.
+#[test]
+fn largest_remainder_spends_exactly_the_budget_above_2_pow_53() {
+    assert_eq!(
+        largest_remainder(&[0.5, 0.5], u64::MAX).iter().sum::<u64>(),
+        u64::MAX
+    );
+    assert_eq!(largest_remainder(&[1.0], u64::MAX), vec![u64::MAX]);
+    let mut rng = StreamRng::new(0x2_53, 0xB16);
+    for case in 0..600 {
+        let len = 2 + (rng.gen::<u64>() % 299) as usize;
+        let weights: Vec<f64> = if case % 2 == 0 {
+            (0..len).map(|_| rng.gen::<f64>()).collect()
+        } else {
+            // Tie-heavy: a palette of sevenths, some parts at zero.
+            (0..len)
+                .map(|_| (rng.gen::<u64>() % 4) as f64 / 7.0)
+                .collect()
+        };
+        if weights.iter().sum::<f64>() == 0.0 {
+            continue;
+        }
+        // Log-uniform between 2⁵³ and 2⁶⁴, plus the top of the range.
+        let total = match case % 3 {
+            0 => u64::MAX - rng.gen::<u64>() % 4096,
+            _ => {
+                let bits = 53 + (rng.gen::<u64>() % 12) as u32;
+                (1u64 << 53).max(rng.gen::<u64>() >> (64 - bits))
+            }
+        };
+        let counts = largest_remainder(&weights, total);
+        let spent: u128 = counts.iter().map(|&c| u128::from(c)).sum();
+        assert_eq!(
+            spent,
+            u128::from(total),
+            "case {case}: {len} weights, total {total}"
+        );
+    }
 }
 
 // ---- budgets smaller than the term count ----------------------------

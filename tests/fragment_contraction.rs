@@ -479,6 +479,53 @@ fn sweep_values_depend_only_on_the_pick() {
     }
 }
 
+/// `FragmentBlocks::walk` against `FrontierSweep::term_value` fed every
+/// pick in odometer order: the same values bit for bit, in the same
+/// order, and the same counters.
+fn assert_walk_is_the_odometer_sweep(blocks: &FragmentBlocks, what: &str) {
+    let mut sweep = blocks.sweep();
+    let swept: Vec<u64> = odometer_picks(&blocks.group_lens())
+        .iter()
+        .map(|p| sweep.term_value(p).to_bits())
+        .collect();
+    let mut walked = Vec::with_capacity(swept.len());
+    let stats = blocks.walk(|v| walked.push(v.to_bits()));
+    assert_eq!(walked, swept, "{what}: the walk's values differ");
+    assert_eq!(stats, sweep.stats(), "{what}: the walk's counters differ");
+}
+
+#[test]
+fn walk_is_the_odometer_sweep_bit_for_bit() {
+    // The 6-cut ladder: single-wire groups, maximally deep resumes.
+    let plan = CutPlanner::new(2).with_overlap(0.8).plan(&cx_ladder(6));
+    assert_eq!(plan.num_cuts(), 6, "ladder plan shape drifted");
+    let blocks = FragmentBlocks::build(&plan, &PauliString::from_label(&"Z".repeat(8)));
+    assert_walk_is_the_odometer_sweep(&blocks, "6-cut ladder");
+    // Both re-entrant chains: the frontier widens and narrows between
+    // absorbs, under a joint-MUB and a per-wire NME 3-wire group.
+    let observable = PauliString::from_label(&"Z".repeat(7));
+    for overlap in [0.52, 0.9] {
+        let plan = CutPlanner::new(4)
+            .with_overlap(overlap)
+            .plan(&reentrant_chain(4));
+        let blocks = FragmentBlocks::build(&plan, &observable);
+        assert_walk_is_the_odometer_sweep(&blocks, &format!("re-entrant chain, f = {overlap}"));
+    }
+    // A classical bit measured in one fragment and read in a later one:
+    // a free `I`/`Z` frontier axis.
+    let mut feedforward = Circuit::new(3, 1);
+    feedforward
+        .ry(0.4, 0)
+        .cx(0, 1)
+        .measure(1, 0)
+        .cx(1, 2)
+        .x_if(2, 0);
+    let plan = CutPlanner::new(2).plan(&feedforward);
+    assert!(clbit_crosses_fragments(&plan), "bit 0 must cross fragments");
+    let blocks = FragmentBlocks::build(&plan, &PauliString::from_label("ZZZ"));
+    assert_walk_is_the_odometer_sweep(&blocks, "cross-fragment classical bit");
+}
+
 #[test]
 fn eight_cut_ladder_sweep_counters_are_pinned() {
     // The 8-cut width-2 ladder's full odometer sweep (3⁸ = 6561 terms):
