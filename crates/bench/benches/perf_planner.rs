@@ -98,14 +98,17 @@ fn compiled_plan_sampling(c: &mut Criterion) {
 /// odometer on prebuilt fragment blocks: cached rides the prefix stack
 /// (amortized one fused multiplication per term), uncached re-contracts
 /// every frontier from scratch — the `perf-diff` series that tracks the
-/// cache payoff on every PR. `walk` is the compile path's depth-first
-/// walk of the same odometer: the cached sweep's ops and values,
-/// without a pick per term.
+/// cache payoff on every PR. `walk` is the compile path's walk of the
+/// same odometer (`FragmentBlocks::walk`): the cached sweep's ops and
+/// values, without a pick per term, expanded a whole level at a time
+/// below the first level whose subtree fits the walk's level budget.
+/// `contracted` and `walk` also run at 10 cuts (3¹⁰ terms), where the
+/// walk descends three levels depth first before its subtrees fit.
 fn cut_count_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf_planner/cut_scaling");
     group.sample_size(10);
     let planner = CutPlanner::new(2).with_overlap(0.8);
-    for cuts in 1..=8usize {
+    for cuts in (1..=8usize).chain([10]) {
         let n = cuts + 2;
         let mut circuit = Circuit::new(n, 0);
         circuit.ry(0.4, 0);
@@ -118,6 +121,17 @@ fn cut_count_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("contracted", cuts), &plan, |b, plan| {
             b.iter(|| CompiledPlan::compile(plan, &observable).spec.len())
         });
+        let blocks = FragmentBlocks::build(&plan, &observable);
+        group.bench_function(BenchmarkId::new("walk", cuts), |b| {
+            b.iter(|| {
+                let mut sum = 0.0;
+                blocks.walk(|v| sum += v);
+                sum
+            })
+        });
+        if cuts > 8 {
+            continue;
+        }
         if cuts <= 4 {
             group.bench_with_input(BenchmarkId::new("monolithic", cuts), &plan, |b, plan| {
                 b.iter(|| {
@@ -127,7 +141,6 @@ fn cut_count_scaling(c: &mut Criterion) {
                 })
             });
         }
-        let blocks = FragmentBlocks::build(&plan, &observable);
         let lens = blocks.group_lens();
         let total: usize = lens.iter().product();
         let picks: Vec<Vec<usize>> = (0..total)
@@ -156,13 +169,6 @@ fn cut_count_scaling(c: &mut Criterion) {
             &picks,
             |b, picks| b.iter(|| picks.iter().map(|p| blocks.term_value(p)).sum::<f64>()),
         );
-        group.bench_function(BenchmarkId::new("walk", cuts), |b| {
-            b.iter(|| {
-                let mut sum = 0.0;
-                blocks.walk(|v| sum += v);
-                sum
-            })
-        });
     }
     group.finish();
 }

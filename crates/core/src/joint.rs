@@ -42,7 +42,7 @@
 use crate::mub;
 use crate::multi::MultiCutTerm;
 use qlinalg::{c64, unitary_with_first_column, Complex64, Matrix};
-use qpd::{QpdSpec, TermSpec};
+use qpd::QpdSpec;
 use qsim::{execute_density, Circuit, DensityMatrix, Gate, Superoperator};
 
 /// The complete MUB set for one qubit (`d = 2`): computational, Hadamard
@@ -198,17 +198,15 @@ impl JointWireCut {
         terms
     }
 
-    /// Coefficient structure.
+    /// Coefficient structure: the `d` measure-and-prepare terms at `+1`,
+    /// then the flip term at `−(d−1)`, none consuming a pair — the
+    /// coefficients of [`terms`](Self::terms), without building a term
+    /// circuit.
     pub fn spec(&self) -> QpdSpec {
-        QpdSpec::new(
-            self.terms()
-                .iter()
-                .map(|t| TermSpec {
-                    coefficient: t.coefficient,
-                    pairs_consumed: t.pairs_consumed,
-                })
-                .collect(),
-        )
+        let d = self.dim();
+        let mut parts = vec![(1.0, 0.0); d];
+        parts.push((-((d - 1) as f64), 0.0));
+        QpdSpec::from_parts(&parts)
     }
 
     /// Applies the full reconstructed channel `Σᵢ cᵢ Fᵢ` to one operator

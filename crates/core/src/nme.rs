@@ -26,6 +26,7 @@ use crate::teleport::append_teleportation;
 use crate::term::{CutTerm, WireCut};
 use crate::theory;
 use entangle::PhiK;
+use qpd::QpdSpec;
 use qsim::Circuit;
 
 /// The Theorem 2 wire cut with resource `|Φ_k⟩`.
@@ -61,6 +62,14 @@ impl NmeCut {
     /// Theorem 2 coefficients `(a, b)`.
     pub fn coefficients(&self) -> (f64, f64) {
         theory::theorem2_coefficients(self.phi.k())
+    }
+
+    /// The measure-and-prepare term's signed coefficient `−b`, or `None`
+    /// when it vanishes: at `k = 1`, `b = 0`, and the term is kept for
+    /// structural uniformity only when nonzero.
+    fn flip_coefficient(&self) -> Option<f64> {
+        let (_, b) = self.coefficients();
+        (b > 1e-15).then_some(-b)
     }
 
     /// Builds one teleportation term circuit (`which` ∈ {1, 2} selecting
@@ -103,7 +112,7 @@ impl WireCut for NmeCut {
     }
 
     fn terms(&self) -> Vec<CutTerm> {
-        let (a, b) = self.coefficients();
+        let (a, _) = self.coefficients();
         let mut terms = vec![
             CutTerm {
                 coefficient: a,
@@ -124,11 +133,9 @@ impl WireCut for NmeCut {
                 resource_prep_len: 2,
             },
         ];
-        // The measure-and-prepare term vanishes identically at k = 1
-        // (b = 0); keep it for structural uniformity only when nonzero.
-        if b > 1e-15 {
+        if let Some(coefficient) = self.flip_coefficient() {
             terms.push(CutTerm {
-                coefficient: -b,
+                coefficient,
                 label: "meas-prep-flip".into(),
                 pairs_consumed: 0.0,
                 circuit: harada::measure_prepare_flipped_circuit(),
@@ -138,6 +145,15 @@ impl WireCut for NmeCut {
             });
         }
         terms
+    }
+
+    /// The coefficients and pair counts of [`terms`](Self::terms), read
+    /// off Theorem 2 without building a term circuit.
+    fn spec(&self) -> QpdSpec {
+        let (a, _) = self.coefficients();
+        let mut parts = vec![(a, 1.0), (a, 1.0)];
+        parts.extend(self.flip_coefficient().map(|c| (c, 0.0)));
+        QpdSpec::from_parts(&parts)
     }
 }
 

@@ -140,15 +140,14 @@ impl CutGroup {
 /// The QPD coefficient structure of one `wires`-wide group running
 /// `protocol` — reconstructible from a [`GroupReport`] alone, which is
 /// what lets [`CompiledPlan::verify_groups`] re-validate each group at
-/// `Σ terms` cost without touching the `Π terms` product spec.
+/// `Σ terms` cost without touching the `Π terms` product spec. No term
+/// circuit is built: an NME group is the product of `wires` copies of
+/// the Theorem 2 single-wire spec, which folds coefficients from `1.0`
+/// and pair counts from `0.0` left to right, in the order
+/// [`ParallelWireCut`] combines its wires' terms.
 fn protocol_spec(protocol: Protocol, wires: usize) -> QpdSpec {
     match protocol {
-        Protocol::Nme { k } => ParallelWireCut::new(
-            (0..wires)
-                .map(|_| Box::new(NmeCut::new(k)) as Box<dyn WireCut>)
-                .collect(),
-        )
-        .spec(),
+        Protocol::Nme { k } => QpdSpec::product(&vec![NmeCut::new(k).spec(); wires]),
         Protocol::JointMub => JointWireCut::new(wires).spec(),
     }
 }
@@ -655,13 +654,16 @@ impl CompiledPlan {
     ///
     /// Builds per-fragment tensor blocks once ([`FragmentBlocks::build`],
     /// `Σ variants(fragment)` compiled circuits) and evaluates each of
-    /// the `Π terms(group)` product terms in one depth-first walk of the
-    /// prefix-cached frontier sweep ([`FragmentBlocks::walk`]) — no
-    /// per-term circuit is ever stitched or simulated, and terms sharing
-    /// an odometer prefix share their partial frontier contractions. The
-    /// sweep's hit/op counters land in the [`BackendReport`]. A plan
-    /// with no cut is one unit-coefficient term, the contraction of its
-    /// fragments.
+    /// the `Π terms(group)` product terms in one walk of the odometer
+    /// ([`FragmentBlocks::walk`]): depth first down to the first level
+    /// whose subtree fits the walk's level budget, then a whole level at
+    /// a time. No per-term circuit is ever stitched or simulated, and
+    /// terms sharing an odometer prefix share their partial frontier
+    /// contractions. The walk's counters, those of the prefix-cached
+    /// sweep, land in the [`BackendReport`]. A plan with no cut is one
+    /// unit-coefficient term, the contraction of its fragments. Each
+    /// group's QPD spec is read off its protocol's coefficients, with
+    /// no term circuit built.
     ///
     /// In debug/test builds the compiled plan's cut groups are verified
     /// on the spot ([`CompiledPlan::verify_groups`]), so malformed term
@@ -1033,6 +1035,47 @@ mod tests {
             .filter(|cut| cut.wire == 0)
             .count();
         assert!(cuts_on_0 >= 2, "wire 0 cut {cuts_on_0} times: {plan:?}");
+    }
+
+    #[test]
+    fn group_specs_are_the_term_circuit_specs_bit_for_bit() {
+        // `protocol_spec` builds no term circuit, yet must read exactly
+        // what the term circuits carry: the coefficients and pair counts
+        // `ParallelWireCut::spec` folds term by term, and those of
+        // `JointWireCut::terms` at every width a plan may cut jointly.
+        // At k = 1 the measure-and-prepare term drops out.
+        let bits = |terms: &[qpd::TermSpec]| -> Vec<(u64, u64)> {
+            terms
+                .iter()
+                .map(|t| (t.coefficient.to_bits(), t.pairs_consumed.to_bits()))
+                .collect()
+        };
+        let planned = [0.52, 0.75, 0.8, 0.9].map(|f| NmeCut::from_overlap(f).k());
+        for k in [1e-3, 0.2, 0.5, 0.73, 1.0].into_iter().chain(planned) {
+            for wires in 1..=6 {
+                let spec = protocol_spec(Protocol::Nme { k }, wires);
+                let oracle = ParallelWireCut::uniform(NmeCut::new(k), wires).spec();
+                assert_eq!(
+                    bits(spec.terms()),
+                    bits(oracle.terms()),
+                    "k = {k}, {wires} wires"
+                );
+                let per_wire: usize = if k == 1.0 { 2 } else { 3 };
+                assert_eq!(spec.len(), per_wire.pow(wires as u32));
+            }
+        }
+        for n in 1..=crate::contract::MAX_JOINT_WIRES {
+            let oracle: Vec<qpd::TermSpec> = JointWireCut::new(n)
+                .terms()
+                .iter()
+                .map(|t| qpd::TermSpec {
+                    coefficient: t.coefficient,
+                    pairs_consumed: t.pairs_consumed,
+                })
+                .collect();
+            let spec = protocol_spec(Protocol::JointMub, n);
+            assert_eq!(bits(spec.terms()), bits(&oracle), "joint, {n} wires");
+        }
     }
 
     #[test]

@@ -524,6 +524,20 @@ fn walk_is_the_odometer_sweep_bit_for_bit() {
     assert!(clbit_crosses_fragments(&plan), "bit 0 must cross fragments");
     let blocks = FragmentBlocks::build(&plan, &PauliString::from_label("ZZZ"));
     assert_walk_is_the_odometer_sweep(&blocks, "cross-fragment classical bit");
+    // The 10-cut ladder (3¹⁰ = 59 049 terms): its lower levels outgrow
+    // the walk's level budget, so the walk descends depth first to the
+    // first level whose subtree fits and expands one subtree per
+    // prefix of the digits above it.
+    let plan = CutPlanner::new(2).with_overlap(0.9).plan(&cx_ladder(10));
+    assert_eq!(plan.num_cuts(), 10, "ladder plan shape drifted");
+    let blocks = FragmentBlocks::build(&plan, &PauliString::from_label(&"Z".repeat(12)));
+    assert_eq!(blocks.group_lens().iter().product::<usize>(), 59_049);
+    assert_walk_is_the_odometer_sweep(&blocks, "10-cut ladder");
+    // One group: the walk is leaves only.
+    let plan = CutPlanner::new(2).with_overlap(0.8).plan(&cx_ladder(1));
+    assert_eq!(plan.groups.len(), 1, "one-cut ladder shape drifted");
+    let blocks = FragmentBlocks::build(&plan, &PauliString::from_label("ZZZ"));
+    assert_walk_is_the_odometer_sweep(&blocks, "one-group plan");
 }
 
 #[test]
