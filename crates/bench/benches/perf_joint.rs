@@ -16,8 +16,8 @@ use rand::SeedableRng;
 use wirecut::joint::JointWireCut;
 use wirecut::joint_nme::explore_joint_nme;
 use wirecut::mub::mub_bases_fresh;
-use wirecut::multi::{ParallelWireCut, PreparedMultiCut};
-use wirecut::NmeCut;
+use wirecut::multi::ParallelWireCut;
+use wirecut::{NmeCut, PreparedCut, WireCut};
 
 fn ghz_prep(w: usize) -> Circuit {
     let mut c = Circuit::new(w, 0);
@@ -40,9 +40,10 @@ fn estimate(c: &mut Criterion) {
         let prep = ghz_prep(n);
         let joint = JointWireCut::new(n);
         let compiled_joint =
-            PreparedMultiCut::from_terms(joint.spec(), &joint.terms(), &prep, &all_z(n));
+            PreparedCut::from_terms(joint.spec(), &joint.terms(), &prep, &all_z(n));
         let product = ParallelWireCut::uniform(NmeCut::new(0.0), n);
-        let compiled_product = PreparedMultiCut::new(&product, &prep, &all_z(n));
+        let compiled_product =
+            PreparedCut::from_terms(product.spec(), &product.terms(), &prep, &all_z(n));
         for &shots in &[100u64, 1_000, 10_000, 100_000] {
             group.throughput(Throughput::Elements(shots));
             group.bench_with_input(
@@ -95,7 +96,7 @@ fn compile(c: &mut Criterion) {
         let spec = joint.spec();
         let terms = joint.terms();
         group.bench_with_input(BenchmarkId::new("joint", n), &n, |b, _| {
-            b.iter(|| PreparedMultiCut::from_terms(spec.clone(), &terms, &prep, &all_z(n)));
+            b.iter(|| PreparedCut::from_terms(spec.clone(), &terms, &prep, &all_z(n)));
         });
     }
     group.finish();
@@ -126,7 +127,7 @@ fn verification(c: &mut Criterion) {
     }
     let cut = JointWireCut::new(2);
     group.bench_with_input(BenchmarkId::new("dense_tomography", 2usize), &2, |b, _| {
-        b.iter(|| wirecut::joint::joint_identity_distance(&cut));
+        b.iter(|| wirecut::identity_distance(&cut));
     });
     group.finish();
 }

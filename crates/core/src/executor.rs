@@ -1,8 +1,9 @@
-//! Bridges wire cuts to the QPD estimators: simulates every
-//! [`crate::term::WireCut`] term circuit (with a concrete input state
-//! and observable) once, on a compiled branch-tree sampler, and keeps
-//! only its exact value as a [`qpd::BernoulliTerm`] (the multi-wire
-//! analogue lives in [`crate::multi`]).
+//! Bridges cuts to the QPD estimators: simulates every
+//! [`crate::term::CutTerm`] circuit once, with a concrete input
+//! preparation and observable, on a compiled branch-tree sampler, and
+//! keeps only its exact value as a [`qpd::BernoulliTerm`].
+//! [`PreparedCut`] is the one compilation target for every cut width —
+//! single-wire, product and joint cuts alike.
 //!
 //! This realises the paper's experimental procedure (Section IV): the
 //! input `W|0⟩` enters the sender qubit, the three subcircuits of
@@ -14,34 +15,44 @@
 use crate::term::{CutTerm, WireCut};
 use qlinalg::Matrix;
 use qpd::{BernoulliTerm, QpdSpec};
-use qsim::{Circuit, CompiledSampler, Gate, Pauli, StateVector};
+use qsim::{Circuit, CompiledSampler, Gate, Pauli, PauliString, StateVector};
 
-/// The circuit of `term` for input `W|0⟩` (given by the 2×2 unitary `w`)
-/// with `obs` rotated onto Z on the term's output qubit.
-fn term_circuit(term: &CutTerm, w: &Matrix, obs: Pauli) -> Circuit {
-    let n = term.circuit.num_qubits();
-    let clbits = term.circuit.num_clbits();
-    let mut circuit = Circuit::new(n, clbits);
-    // Input preparation on the sender qubit.
-    circuit.unitary1(w.clone(), term.input_qubit);
+/// The circuit of `term` with `input_prep` composed onto its input
+/// qubits and each X or Y factor of `observable` rotated onto Z on its
+/// output qubit (H for X, S†·H for Y), and the mask of the output qubits
+/// whose Z-parity then reads `observable`.
+fn term_circuit(
+    term: &CutTerm,
+    input_prep: &Circuit,
+    observable: &PauliString,
+) -> (Circuit, usize) {
+    assert_eq!(input_prep.num_qubits(), term.input_qubits.len());
+    assert_eq!(observable.num_qubits(), term.output_qubits.len());
+    let mut circuit = Circuit::new(term.circuit.num_qubits(), term.circuit.num_clbits());
+    // Input preparation acts on the input qubits of all wires — the
+    // sender device holds all of them before the cut.
+    let cmap: Vec<usize> = (0..input_prep.num_clbits()).collect();
+    circuit.compose_mapped(input_prep, &term.input_qubits, &cmap);
     circuit.compose(&term.circuit);
-    // Basis rotation so that measuring Z on the output measures `obs`.
-    match obs {
-        Pauli::Z => {}
-        Pauli::X => {
-            circuit.h(term.output_qubit);
+    let mut z_mask = 0usize;
+    for (w, &q) in term.output_qubits.iter().enumerate() {
+        match observable.op(w) {
+            Pauli::I => continue,
+            Pauli::Z => {}
+            Pauli::X => {
+                circuit.h(q);
+            }
+            Pauli::Y => {
+                circuit.sdg(q).h(q);
+            }
         }
-        Pauli::Y => {
-            // Rotate Y onto Z: apply S† then H.
-            circuit.sdg(term.output_qubit).h(term.output_qubit);
-        }
-        Pauli::I => panic!("identity observable is trivial"),
+        z_mask |= 1 << q;
     }
-    circuit
+    (circuit, z_mask)
 }
 
-/// A wire cut compiled against a concrete input and observable, ready for
-/// the `qpd` estimators.
+/// A cut compiled against a concrete input and observable, ready for the
+/// `qpd` estimators.
 pub struct PreparedCut {
     /// Coefficient structure.
     pub spec: QpdSpec,
@@ -51,16 +62,37 @@ pub struct PreparedCut {
 }
 
 impl PreparedCut {
-    /// Compiles every term of `cut` for input `W|0⟩` and observable `obs`
-    /// and reads its exact expectation off the branch tree.
+    /// Compiles every term of the single-wire `cut` for input `W|0⟩`
+    /// (given by the 2×2 unitary `w`) and observable `obs` — the
+    /// one-wire case of [`from_terms`](Self::from_terms).
     pub fn new(cut: &dyn WireCut, w: &Matrix, obs: Pauli) -> Self {
-        let spec = cut.spec();
-        let terms = cut
-            .terms()
+        let mut prep = Circuit::new(1, 0);
+        prep.unitary1(w.clone(), 0);
+        Self::from_terms(
+            cut.spec(),
+            &cut.terms(),
+            &prep,
+            &PauliString::new(vec![obs]),
+        )
+    }
+
+    /// Compiles a term list of any width for a sender input preparation
+    /// circuit (over the cut wires) and an observable on the outputs:
+    /// each term circuit is simulated once, and the exact expectation of
+    /// the rotated Z-parity read off its branch tree becomes its law.
+    pub fn from_terms(
+        spec: QpdSpec,
+        terms: &[CutTerm],
+        input_prep: &Circuit,
+        observable: &PauliString,
+    ) -> Self {
+        assert_eq!(spec.len(), terms.len());
+        let terms = terms
             .iter()
             .map(|t| {
-                let sampler = CompiledSampler::compile(&term_circuit(t, w, obs), None);
-                BernoulliTerm::new(sampler.exact_expval_z(t.output_qubit))
+                let (circuit, z_mask) = term_circuit(t, input_prep, observable);
+                let sampler = CompiledSampler::compile(&circuit, None);
+                BernoulliTerm::new(sampler.exact_expval_parity(z_mask))
             })
             .collect();
         Self { spec, terms }
@@ -95,6 +127,8 @@ pub fn uncut_expectation(w: &Matrix, obs: Pauli) -> f64 {
 mod tests {
     use super::*;
     use crate::harada::HaradaCut;
+    use crate::joint::JointWireCut;
+    use crate::multi::ParallelWireCut;
     use crate::nme::{NmeCut, TeleportationPassthrough};
     use crate::peng::PengCut;
     use qpd::{Allocator, TermSampler};
@@ -173,35 +207,56 @@ mod tests {
 
     #[test]
     fn prepared_term_batched_and_per_shot_sampling_agree() {
-        // Each folded term keeps only its circuit's exact value. The
-        // oracle is the term circuit's own branch-tree sampler, built
-        // here: its per-shot outcomes and the folded term's batched draw
-        // must both sit within 5σ of the stored value, which must be the
-        // sampler's exact expectation bit for bit.
-        let w = ry_matrix(1.234);
-        let shots = 40_000u64;
-        let cuts: Vec<Box<dyn WireCut>> = vec![
-            Box::new(NmeCut::new(0.4)),
-            Box::new(HaradaCut),
-            Box::new(PengCut),
+        // Each folded term keeps only its circuit's exact parity value,
+        // whatever the cut's width. The oracle is the term circuit's own
+        // branch-tree sampler, built here: per shot it draws a leaf, then
+        // a Z-basis outcome, and reads the parity. Those draws and the
+        // folded term's batched draw must both sit within 5σ of the
+        // stored value, which must be the sampler's exact parity
+        // expectation bit for bit.
+        let mut one_wire = Circuit::new(1, 0);
+        one_wire.unitary1(ry_matrix(1.234), 0);
+        let mut two_wire = Circuit::new(2, 0);
+        two_wire.ry(0.7, 0).cx(0, 1);
+        let (z, zz) = (PauliString::from_label("Z"), PauliString::from_label("ZZ"));
+        let cuts: Vec<(Box<dyn WireCut>, &Circuit, &PauliString)> = vec![
+            (Box::new(NmeCut::new(0.4)), &one_wire, &z),
+            (Box::new(HaradaCut), &one_wire, &z),
+            (Box::new(PengCut), &one_wire, &z),
+            (
+                Box::new(ParallelWireCut::uniform(NmeCut::new(0.5), 2)),
+                &two_wire,
+                &zz,
+            ),
+            (Box::new(JointWireCut::new(2)), &two_wire, &zz),
         ];
+        let shots = 40_000u64;
         let mut branching_terms = 0;
-        for (c, cut) in cuts.iter().enumerate() {
-            let prepared = PreparedCut::new(cut.as_ref(), &w, Pauli::Z);
-            for (i, (term, folded)) in cut.terms().iter().zip(&prepared.terms).enumerate() {
-                let oracle = CompiledSampler::compile(&term_circuit(term, &w, Pauli::Z), None);
+        for (c, (cut, prep, obs)) in cuts.iter().enumerate() {
+            let terms = cut.terms();
+            let prepared = PreparedCut::from_terms(cut.spec(), &terms, prep, obs);
+            for (i, (term, folded)) in terms.iter().zip(&prepared.terms).enumerate() {
+                let (circuit, z_mask) = term_circuit(term, prep, obs);
+                let oracle = CompiledSampler::compile(&circuit, None);
                 if oracle.leaves().len() > 1 {
                     branching_terms += 1;
                 }
                 let exact = folded.exact_expectation();
                 assert_eq!(
                     exact.to_bits(),
-                    oracle.exact_expval_z(term.output_qubit).to_bits()
+                    oracle.exact_expval_parity(z_mask).to_bits()
                 );
-                let seed = 400 + 10 * c as u64 + i as u64;
+                let seed = 300 + 100 * c as u64 + i as u64;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let per_shot: f64 = (0..shots)
-                    .map(|_| oracle.sample_z(term.output_qubit, &mut rng))
+                    .map(|_| {
+                        let idx = oracle.sample_leaf(&mut rng).state.sample_z_basis(&mut rng);
+                        if (idx & z_mask).count_ones().is_multiple_of(2) {
+                            1.0
+                        } else {
+                            -1.0
+                        }
+                    })
                     .sum::<f64>()
                     / shots as f64;
                 let mut rng = StdRng::seed_from_u64(seed + 1000);
@@ -222,6 +277,30 @@ mod tests {
             }
         }
         assert!(branching_terms > 0, "no term circuit measured mid-circuit");
+    }
+
+    #[test]
+    fn product_cut_reads_non_diagonal_observables() {
+        // Each X or Y factor is rotated onto Z on its own output wire, so
+        // a product cut reads any Pauli string of the sender state.
+        let mut sender = Circuit::new(2, 0);
+        sender.ry(0.8, 0).ry(1.3, 1).cx(0, 1);
+        let mut sv = StateVector::new(2);
+        sv.apply_circuit(&sender);
+        let cut = ParallelWireCut::uniform(NmeCut::new(0.6), 2);
+        let terms = cut.terms();
+        for label in ["XZ", "ZY", "XX"] {
+            let obs = PauliString::from_label(label);
+            let got = PreparedCut::from_terms(cut.spec(), &terms, &sender, &obs).exact_value();
+            let expect = sv.expval_pauli(&obs);
+            assert!((got - expect).abs() < 1e-9, "⟨{label}⟩: {got} vs {expect}");
+        }
+        // The identity reads 1 through a one-wire cut, as on the uncut
+        // wire: every term's parity mask is empty.
+        let w = ry_matrix(0.9);
+        let got = PreparedCut::new(&NmeCut::new(0.6), &w, Pauli::I).exact_value();
+        assert!((got - 1.0).abs() < 1e-12, "⟨I⟩ = {got}");
+        assert!((uncut_expectation(&w, Pauli::I) - 1.0).abs() < 1e-12);
     }
 
     #[test]

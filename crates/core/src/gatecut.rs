@@ -14,23 +14,15 @@
 //! where `M₁` = *measure A in Z, apply Z on B when the outcome is 1*
 //! (the "classical CZ"), `M₀` its outcome-flipped variant, and `N₁`/`N₀`
 //! the same with the roles of A and B exchanged. Every term is LOCC; the
-//! 1-norm is `6·½ = 3`. The derivation is verified *exactly* by channel
-//! tomography in the tests, and the coefficients are independently
-//! re-derived by least squares in `coefficients_recovered_by_lstsq`.
+//! 1-norm is `6·½ = 3`. Each term is an ordinary [`CutTerm`] whose inputs
+//! and outputs are both qubits `[0, 1]`, so the derivation is verified
+//! *exactly* by the generic channel tomography of [`crate::term`] in the
+//! tests, and the coefficients are independently re-derived by least
+//! squares in `coefficients_recovered_by_lstsq`.
 
-use qpd::{QpdSpec, TermSpec};
+use crate::term::{spec_of, CutTerm};
+use qpd::QpdSpec;
 use qsim::{Circuit, Superoperator};
-
-/// One gate-cut term: a two-qubit LOCC circuit replacing the CZ.
-#[derive(Clone, Debug)]
-pub struct GateCutTerm {
-    /// Signed coefficient.
-    pub coefficient: f64,
-    /// Display label.
-    pub label: String,
-    /// Two-qubit circuit on qubits (0 = A, 1 = B) plus one classical bit.
-    pub circuit: Circuit,
-}
 
 /// The six-term optimal CZ gate cut.
 #[derive(Clone, Copy, Debug, Default)]
@@ -57,76 +49,37 @@ fn measure_feedforward_circuit(meas: usize, on_outcome: bool) -> Circuit {
 }
 
 impl CzGateCut {
-    /// The six terms.
-    pub fn terms(&self) -> Vec<GateCutTerm> {
+    /// The six terms, each a two-qubit circuit on qubits (0 = A, 1 = B)
+    /// plus one classical bit, mapping both qubits in and out.
+    pub fn terms(&self) -> Vec<CutTerm> {
+        let term = |coefficient: f64, label: &str, circuit: Circuit| CutTerm {
+            coefficient,
+            label: label.into(),
+            pairs_consumed: 0.0,
+            circuit,
+            input_qubits: vec![0, 1],
+            output_qubits: vec![0, 1],
+            resource_prep_len: 0,
+        };
         vec![
-            GateCutTerm {
-                coefficient: 0.5,
-                label: "S⊗S".into(),
-                circuit: s_s_circuit(false),
-            },
-            GateCutTerm {
-                coefficient: 0.5,
-                label: "S†⊗S†".into(),
-                circuit: s_s_circuit(true),
-            },
-            GateCutTerm {
-                coefficient: 0.5,
-                label: "measA-Z@1".into(),
-                circuit: measure_feedforward_circuit(0, true),
-            },
-            GateCutTerm {
-                coefficient: -0.5,
-                label: "measA-Z@0".into(),
-                circuit: measure_feedforward_circuit(0, false),
-            },
-            GateCutTerm {
-                coefficient: 0.5,
-                label: "measB-Z@1".into(),
-                circuit: measure_feedforward_circuit(1, true),
-            },
-            GateCutTerm {
-                coefficient: -0.5,
-                label: "measB-Z@0".into(),
-                circuit: measure_feedforward_circuit(1, false),
-            },
+            term(0.5, "S⊗S", s_s_circuit(false)),
+            term(0.5, "S†⊗S†", s_s_circuit(true)),
+            term(0.5, "measA-Z@1", measure_feedforward_circuit(0, true)),
+            term(-0.5, "measA-Z@0", measure_feedforward_circuit(0, false)),
+            term(0.5, "measB-Z@1", measure_feedforward_circuit(1, true)),
+            term(-0.5, "measB-Z@0", measure_feedforward_circuit(1, false)),
         ]
     }
 
     /// Coefficient structure.
     pub fn spec(&self) -> QpdSpec {
-        QpdSpec::new(
-            self.terms()
-                .iter()
-                .map(|t| TermSpec {
-                    coefficient: t.coefficient,
-                    pairs_consumed: 0.0,
-                })
-                .collect(),
-        )
+        spec_of(&self.terms())
     }
 
     /// `κ = 3`, the optimal gate-cut overhead for CZ.
     pub fn kappa(&self) -> f64 {
         self.spec().kappa()
     }
-}
-
-/// The exact two-qubit channel of one gate-cut term.
-pub fn gate_term_channel(term: &GateCutTerm) -> Superoperator {
-    Superoperator::from_linear_map(4, 4, |rho_in| {
-        let dm = qsim::DensityMatrix::from_matrix(2, rho_in.clone());
-        qsim::execute_density(&term.circuit, &dm).into_matrix()
-    })
-}
-
-/// The channel reconstructed by the full gate cut.
-pub fn reconstructed_cz_channel(cut: &CzGateCut) -> Superoperator {
-    let mut acc = Superoperator::zero(4, 4);
-    for term in cut.terms() {
-        acc.axpy(term.coefficient, &gate_term_channel(&term));
-    }
-    acc
 }
 
 /// The target: the exact CZ channel.
@@ -137,11 +90,12 @@ pub fn cz_channel() -> Superoperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::{reconstructed_channel, term_channel};
     use qlinalg::{c64, lstsq, Complex64, Matrix};
 
     #[test]
     fn reconstructs_cz_channel_exactly() {
-        let d = reconstructed_cz_channel(&CzGateCut).distance(&cz_channel());
+        let d = reconstructed_channel(&CzGateCut.terms()).distance(&cz_channel());
         assert!(d < 1e-10, "CZ gate cut wrong: distance {d}");
     }
 
@@ -170,7 +124,7 @@ mod tests {
     fn every_term_is_trace_preserving() {
         for t in CzGateCut.terms() {
             assert!(
-                gate_term_channel(&t).is_trace_preserving(1e-10),
+                term_channel(&t).is_trace_preserving(1e-10),
                 "term {} not TP",
                 t.label
             );
@@ -190,7 +144,7 @@ mod tests {
         let rows = 16 * 16;
         let mut a = Matrix::zeros(rows, 5);
         for (j, t) in terms.iter().take(5).enumerate() {
-            let ch = gate_term_channel(t);
+            let ch = term_channel(t);
             for r in 0..16 {
                 for c in 0..16 {
                     a[(r * 16 + c, j)] = ch.matrix()[(r, c)];
@@ -233,7 +187,7 @@ mod tests {
             } else {
                 term.coefficient
             };
-            acc.axpy(coeff, &gate_term_channel(term));
+            acc.axpy(coeff, &term_channel(term));
         }
         assert!(acc.distance(&cz_channel()) > 0.1);
     }

@@ -78,8 +78,8 @@ impl WireCut for HaradaCut {
                 label: "meas-H".into(),
                 pairs_consumed: 0.0,
                 circuit: basis_term_circuit(1),
-                input_qubit: 0,
-                output_qubit: 1,
+                input_qubits: vec![0],
+                output_qubits: vec![1],
                 resource_prep_len: 0,
             },
             CutTerm {
@@ -87,8 +87,8 @@ impl WireCut for HaradaCut {
                 label: "meas-SH".into(),
                 pairs_consumed: 0.0,
                 circuit: basis_term_circuit(2),
-                input_qubit: 0,
-                output_qubit: 1,
+                input_qubits: vec![0],
+                output_qubits: vec![1],
                 resource_prep_len: 0,
             },
             CutTerm {
@@ -96,8 +96,8 @@ impl WireCut for HaradaCut {
                 label: "meas-prep-flip".into(),
                 pairs_consumed: 0.0,
                 circuit: measure_prepare_flipped_circuit(),
-                input_qubit: 0,
-                output_qubit: 1,
+                input_qubits: vec![0],
+                output_qubits: vec![1],
                 resource_prep_len: 0,
             },
         ]

@@ -27,11 +27,11 @@
 //! every `n ≤` [`mub::MAX_WIRES`] — no hardcoded case split. The
 //! **estimate path never touches a dense superoperator**: each term
 //! circuit is simulated once on a branch-tree sampler for its exact
-//! value ([`crate::multi::PreparedMultiCut`]), and correctness is checked by [`JointWireCut::verify`], which applies
-//! each term's Kraus family **sparsely** (`O(d³)` per probe instead of
-//! the `2^{2n} × 2^{2n}` process-tomography matrix). The dense
-//! [`joint_identity_distance`] tomography survives for small-`n` tests
-//! only.
+//! value ([`crate::executor::PreparedCut::from_terms`]), and correctness
+//! is checked by [`JointWireCut::verify`], which applies each term's
+//! Kraus family **sparsely** (`O(d³)` per probe instead of the
+//! `2^{2n} × 2^{2n}` process-tomography matrix). The dense tomography of
+//! [`crate::term::identity_distance`] serves small-`n` tests only.
 //!
 //! The paper's §VI asks whether NME states help *joint* multi-wire cuts;
 //! [`crate::joint_nme`] explores that combination numerically — this
@@ -40,10 +40,10 @@
 //! ([`crate::theory::gamma_phi_k`], Theorem 1).
 
 use crate::mub;
-use crate::multi::MultiCutTerm;
+use crate::term::{CutTerm, WireCut};
 use qlinalg::{c64, unitary_with_first_column, Complex64, Matrix};
 use qpd::QpdSpec;
-use qsim::{execute_density, Circuit, DensityMatrix, Gate, Superoperator};
+use qsim::{Circuit, Gate, Superoperator};
 
 /// The complete MUB set for one qubit (`d = 2`): computational, Hadamard
 /// (`X` eigenbasis) and `SH` (`Y` eigenbasis) — exactly the `U᷀ᵢ` of the
@@ -105,11 +105,6 @@ impl JointWireCut {
         1 << self.n
     }
 
-    /// The optimal joint overhead `2d − 1`.
-    pub fn kappa(&self) -> f64 {
-        (2 * self.dim() - 1) as f64
-    }
-
     /// The complete MUB set used by this cut (`d + 1` bases, memoized).
     pub fn bases(&self) -> Vec<Matrix> {
         mub::mub_bases(self.n)
@@ -165,48 +160,6 @@ impl JointWireCut {
             c.cx(ancilla[q], receiver[q]);
         }
         c
-    }
-
-    /// All `d + 1` terms as multi-wire cut terms: one measure-and-prepare
-    /// term per non-computational MUB (coefficient `+1`), then the flip
-    /// term (coefficient `−(d−1)`).
-    pub fn terms(&self) -> Vec<MultiCutTerm> {
-        let n = self.n;
-        let d = self.dim();
-        let bases = self.bases();
-        let input_qubits: Vec<usize> = (0..n).collect();
-        let output_qubits: Vec<usize> = (n..2 * n).collect();
-        let mut terms = Vec::with_capacity(d + 1);
-        for (b, u) in bases.iter().enumerate().skip(1) {
-            terms.push(MultiCutTerm {
-                coefficient: 1.0,
-                labels: vec![format!("mub-{b}")],
-                circuit: self.basis_term_circuit(u),
-                input_qubits: input_qubits.clone(),
-                output_qubits: output_qubits.clone(),
-                pairs_consumed: 0.0,
-            });
-        }
-        terms.push(MultiCutTerm {
-            coefficient: -((d - 1) as f64),
-            labels: vec!["meas-prep-other".to_string()],
-            circuit: self.flip_term_circuit(),
-            input_qubits,
-            output_qubits,
-            pairs_consumed: 0.0,
-        });
-        terms
-    }
-
-    /// Coefficient structure: the `d` measure-and-prepare terms at `+1`,
-    /// then the flip term at `−(d−1)`, none consuming a pair — the
-    /// coefficients of [`terms`](Self::terms), without building a term
-    /// circuit.
-    pub fn spec(&self) -> QpdSpec {
-        let d = self.dim();
-        let mut parts = vec![(1.0, 0.0); d];
-        parts.push((-((d - 1) as f64), 0.0));
-        QpdSpec::from_parts(&parts)
     }
 
     /// Applies the full reconstructed channel `Σᵢ cᵢ Fᵢ` to one operator
@@ -319,6 +272,58 @@ impl JointWireCut {
     }
 }
 
+impl WireCut for JointWireCut {
+    fn name(&self) -> String {
+        format!("joint-mub(n={})", self.n)
+    }
+
+    /// All `d + 1` terms: one measure-and-prepare term per
+    /// non-computational MUB (coefficient `+1`), then the flip term
+    /// (coefficient `−(d−1)`).
+    fn terms(&self) -> Vec<CutTerm> {
+        let n = self.n;
+        let d = self.dim();
+        let term = |coefficient: f64, label: String, circuit: Circuit| CutTerm {
+            coefficient,
+            label,
+            pairs_consumed: 0.0,
+            circuit,
+            input_qubits: (0..n).collect(),
+            output_qubits: (n..2 * n).collect(),
+            resource_prep_len: 0,
+        };
+        let mut terms: Vec<CutTerm> = self
+            .bases()
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(b, u)| term(1.0, format!("mub-{b}"), self.basis_term_circuit(u)))
+            .collect();
+        terms.push(term(
+            -((d - 1) as f64),
+            "meas-prep-other".to_string(),
+            self.flip_term_circuit(),
+        ));
+        terms
+    }
+
+    /// Coefficient structure: the `d` measure-and-prepare terms at `+1`,
+    /// then the flip term at `−(d−1)`, none consuming a pair — the
+    /// coefficients of [`terms`](Self::terms), without building a term
+    /// circuit.
+    fn spec(&self) -> QpdSpec {
+        let d = self.dim();
+        let mut parts = vec![(1.0, 0.0); d];
+        parts.push((-((d - 1) as f64), 0.0));
+        QpdSpec::from_parts(&parts)
+    }
+
+    /// The optimal joint overhead `2d − 1`.
+    fn kappa(&self) -> f64 {
+        (2 * self.dim() - 1) as f64
+    }
+}
+
 /// Sparse Kraus application of a positive MUB term: *measure in basis `b`
 /// and prepare the outcome*, `ρ ↦ Σⱼ ⟨uⱼ|ρ|uⱼ⟩ |uⱼ⟩⟨uⱼ| =
 /// U·diag(U†ρU)·U†` — the dephasing channel `D_b` with Kraus family
@@ -345,55 +350,6 @@ pub fn apply_flip_term(rho: &Matrix) -> Matrix {
             qlinalg::C_ZERO
         }
     })
-}
-
-/// Exact `d → d` channel of a multi-wire term: probe with matrix units on
-/// the input qubits, trace to the output qubits. **Dense process
-/// tomography — `O(d²)` circuit simulations — for small-`n` tests only;
-/// the estimate path and [`JointWireCut::verify`] never call this.**
-pub fn joint_term_channel(term: &MultiCutTerm) -> Superoperator {
-    let n_total = term.circuit.num_qubits();
-    let d = 1 << term.input_qubits.len();
-    Superoperator::from_linear_map(d, d, |rho_in| {
-        let full = embed_input_multi(rho_in, &term.input_qubits, n_total);
-        let out = execute_density(&term.circuit, &full);
-        out.partial_trace(&term.output_qubits).into_matrix()
-    })
-}
-
-/// Embeds a `d × d` operator on the listed qubits (`qubits[i]` = bit `i`)
-/// with `|0⟩⟨0|` on every other qubit of an `n`-qubit register.
-pub fn embed_input_multi(rho_in: &Matrix, qubits: &[usize], n: usize) -> DensityMatrix {
-    let k = qubits.len();
-    assert_eq!(rho_in.rows(), 1 << k);
-    let dim = 1usize << n;
-    let mut full = Matrix::zeros(dim, dim);
-    let spread = |bits: usize| -> usize {
-        let mut idx = 0usize;
-        for (b, &q) in qubits.iter().enumerate() {
-            idx |= ((bits >> b) & 1) << q;
-        }
-        idx
-    };
-    for r in 0..(1 << k) {
-        for c in 0..(1 << k) {
-            full[(spread(r), spread(c))] = rho_in[(r, c)];
-        }
-    }
-    DensityMatrix::from_matrix(n, full)
-}
-
-/// Distance of the reconstructed joint-cut channel from the identity via
-/// **dense** circuit-level tomography (`2^{2n}` probes through the
-/// density simulator). Exponentially expensive — test-only ground truth
-/// for `n ≤ 2`; use [`JointWireCut::verify`] everywhere else.
-pub fn joint_identity_distance(cut: &JointWireCut) -> f64 {
-    let d = cut.dim();
-    let mut acc = Superoperator::zero(d, d);
-    for term in cut.terms() {
-        acc.axpy(term.coefficient, &joint_term_channel(&term));
-    }
-    acc.distance(&Superoperator::identity(d))
 }
 
 /// The MUB dephasing identity `Σ_b D_b(ρ) = ρ + Tr(ρ)·I`, checked as a
@@ -426,8 +382,10 @@ pub fn mub_identity_deviation(bases: &[Matrix]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi::{ParallelWireCut, PreparedMultiCut};
+    use crate::executor::PreparedCut;
+    use crate::multi::ParallelWireCut;
     use crate::nme::NmeCut;
+    use crate::term::{identity_distance, term_channel};
     use qsim::PauliString;
 
     #[test]
@@ -490,13 +448,13 @@ mod tests {
 
     #[test]
     fn joint_single_wire_reconstructs_identity() {
-        let d = joint_identity_distance(&JointWireCut::new(1));
+        let d = identity_distance(&JointWireCut::new(1));
         assert!(d < 1e-9, "single-wire joint cut broken: {d}");
     }
 
     #[test]
     fn joint_double_wire_reconstructs_identity() {
-        let d = joint_identity_distance(&JointWireCut::new(2));
+        let d = identity_distance(&JointWireCut::new(2));
         assert!(d < 1e-8, "double-wire joint cut broken: {d}");
     }
 
@@ -507,7 +465,7 @@ mod tests {
         for n in 1..=2 {
             let cut = JointWireCut::new(n);
             assert!(cut.verify_deviation() < 1e-10);
-            assert!(joint_identity_distance(&cut) < 1e-8);
+            assert!(identity_distance(&cut) < 1e-8);
         }
     }
 
@@ -535,7 +493,7 @@ mod tests {
         });
         let herm = raw.add(&raw.dagger()).scale_re(0.5);
         for (i, term) in terms.iter().enumerate() {
-            let dense = joint_term_channel(term).apply(&herm);
+            let dense = term_channel(term).apply(&herm);
             let sparse = if i + 1 < bases.len() {
                 apply_basis_term(&bases[i + 1], &herm)
             } else {
@@ -571,8 +529,7 @@ mod tests {
         let cut = JointWireCut::new(2);
         let spec = cut.spec();
         let terms = cut.terms();
-        let compiled =
-            PreparedMultiCut::from_terms(spec, &terms, &prep, &PauliString::from_label("ZZ"));
+        let compiled = PreparedCut::from_terms(spec, &terms, &prep, &PauliString::from_label("ZZ"));
         assert!(
             (compiled.exact_value() - 1.0).abs() < 1e-8,
             "joint cut ⟨ZZ⟩ = {}",
@@ -589,7 +546,7 @@ mod tests {
         prep.ry(theta, 0).cx(0, 1).cx(1, 2);
         let cut = JointWireCut::new(3);
         assert!((cut.kappa() - 15.0).abs() < 1e-12);
-        let compiled = PreparedMultiCut::from_terms(
+        let compiled = PreparedCut::from_terms(
             cut.spec(),
             &cut.terms(),
             &prep,
@@ -602,7 +559,7 @@ mod tests {
             theta.cos()
         );
         // Mixed observable on a subset of the cut wires.
-        let ziz = PreparedMultiCut::from_terms(
+        let ziz = PreparedCut::from_terms(
             cut.spec(),
             &cut.terms(),
             &prep,
@@ -624,7 +581,7 @@ mod tests {
         let mut prep = qsim::Circuit::new(2, 0);
         prep.ry(0.9, 0).cx(0, 1);
         let cut = JointWireCut::new(2);
-        let compiled = PreparedMultiCut::from_terms(
+        let compiled = PreparedCut::from_terms(
             cut.spec(),
             &cut.terms(),
             &prep,
@@ -650,27 +607,16 @@ mod tests {
     }
 
     #[test]
-    fn embed_input_multi_round_trip() {
-        let rho = Matrix::from_fn(4, 4, |i, j| {
-            c64((i + j) as f64 * 0.05, (i as f64 - j as f64) * 0.01)
-        });
-        let herm = rho.add(&rho.dagger()).scale_re(0.5);
-        let full = embed_input_multi(&herm, &[0, 2], 4);
-        let back = full.partial_trace(&[0, 2]);
-        assert!(back.matrix().approx_eq(&herm, 1e-12));
-    }
-
-    #[test]
     fn flip_term_is_trace_preserving() {
         for n in [1usize, 2] {
             let cut = JointWireCut::new(n);
             let terms = cut.terms();
             for t in &terms {
-                let ch = joint_term_channel(t);
+                let ch = term_channel(t);
                 assert!(
                     ch.is_trace_preserving(1e-8),
-                    "term {:?} of n={n} not TP",
-                    t.labels
+                    "term {} of n={n} not TP",
+                    t.label
                 );
             }
         }

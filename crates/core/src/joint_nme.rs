@@ -48,12 +48,11 @@
 
 use crate::joint::JointWireCut;
 use crate::mub::{self, mub_error_pauli, symplectic_product, MubField};
-use crate::multi::MultiCutTerm;
 use crate::teleport::append_teleportation;
+use crate::term::{CutTerm, WireCut};
 use crate::theory;
 use entangle::PhiK;
 use qlinalg::{c64, Complex64, Matrix, C_ZERO};
-use qpd::{QpdSpec, TermSpec};
 use qsim::Circuit;
 
 /// One candidate term of the joint-NME family.
@@ -371,7 +370,7 @@ pub fn explore_joint_nme(n: usize, k: f64) -> NmeJointSolution {
 /// Executable joint-NME cut: the solved QPD of [`explore_joint_nme`]
 /// compiled into LOCC term circuits over sender block `0..n`, receiver
 /// block `n..2n` (plus `n` resource-half/ancilla qubits where needed),
-/// ready for [`crate::multi::PreparedMultiCut::from_terms`] and the
+/// ready for [`crate::executor::PreparedCut::from_terms`] and the
 /// batched estimator stack.
 #[derive(Clone, Debug)]
 pub struct NmeJointCut {
@@ -394,11 +393,6 @@ impl NmeJointCut {
     /// Number of wires.
     pub fn num_wires(&self) -> usize {
         self.solution.n
-    }
-
-    /// Achieved sampling overhead `Σ|cᵢ|`.
-    pub fn kappa(&self) -> f64 {
-        self.solution.kappa
     }
 
     /// The `γⁿ` overhead of cutting the same wires independently with
@@ -432,14 +426,18 @@ impl NmeJointCut {
         }
         c
     }
+}
 
-    /// All solved terms as executable multi-wire cut terms.
-    pub fn terms(&self) -> Vec<MultiCutTerm> {
+impl WireCut for NmeJointCut {
+    fn name(&self) -> String {
+        format!("nme-joint(n={}, k={:.4})", self.solution.n, self.solution.k)
+    }
+
+    /// All solved terms, in the solution's order.
+    fn terms(&self) -> Vec<CutTerm> {
         let n = self.solution.n;
         let joint = JointWireCut::new(n);
         let bases = joint.bases();
-        let input_qubits: Vec<usize> = (0..n).collect();
-        let output_qubits: Vec<usize> = (n..2 * n).collect();
         self.solution
             .kinds
             .iter()
@@ -462,36 +460,29 @@ impl NmeJointCut {
                         0.0,
                     ),
                 };
-                MultiCutTerm {
+                CutTerm {
                     coefficient: coeff,
-                    labels: vec![label],
-                    circuit,
-                    input_qubits: input_qubits.clone(),
-                    output_qubits: output_qubits.clone(),
+                    label,
                     pairs_consumed: pairs,
+                    circuit,
+                    input_qubits: (0..n).collect(),
+                    output_qubits: (n..2 * n).collect(),
+                    resource_prep_len: 0,
                 }
             })
             .collect()
     }
 
-    /// Coefficient structure of the solved QPD.
-    pub fn spec(&self) -> QpdSpec {
-        QpdSpec::new(
-            self.terms()
-                .iter()
-                .map(|t| TermSpec {
-                    coefficient: t.coefficient,
-                    pairs_consumed: t.pairs_consumed,
-                })
-                .collect(),
-        )
+    /// Achieved sampling overhead `Σ|cᵢ|`, as the solve summed it.
+    fn kappa(&self) -> f64 {
+        self.solution.kappa
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi::PreparedMultiCut;
+    use crate::executor::PreparedCut;
     use qsim::PauliString;
 
     #[test]
@@ -582,7 +573,7 @@ mod tests {
         prep.ry(theta, 0).cx(0, 1);
         for &k in &[0.0, 0.5, 1.0] {
             let cut = NmeJointCut::new(2, k);
-            let compiled = PreparedMultiCut::from_terms(
+            let compiled = PreparedCut::from_terms(
                 cut.spec(),
                 &cut.terms(),
                 &prep,
@@ -593,7 +584,7 @@ mod tests {
                 "k={k}: ⟨ZZ⟩ = {}",
                 compiled.exact_value()
             );
-            let zi = PreparedMultiCut::from_terms(
+            let zi = PreparedCut::from_terms(
                 cut.spec(),
                 &cut.terms(),
                 &prep,
@@ -615,7 +606,7 @@ mod tests {
         let mut prep = Circuit::new(2, 0);
         prep.ry(0.9, 0).cx(0, 1);
         let cut = NmeJointCut::new(2, 0.6);
-        let compiled = PreparedMultiCut::from_terms(
+        let compiled = PreparedCut::from_terms(
             cut.spec(),
             &cut.terms(),
             &prep,

@@ -12,15 +12,18 @@
 //!   pure `|Φ_k⟩` resources, plus the teleportation passthrough baseline.
 //! * [`harada`] / [`peng`] — the entanglement-free baselines (γ = 3 and
 //!   κ = 4).
-//! * [`term`] / [`executor`] — the cut abstraction, exact channel-level
-//!   verification, and compilation into `qpd` estimators (each term
-//!   circuit simulated once; its exact value fixes its ±1 law).
+//! * [`term`] / [`executor`] — the cut abstraction: one term type
+//!   ([`CutTerm`]) for single-wire, product, joint and gate-cut terms
+//!   alike, exact channel-level verification at any width, and one
+//!   compiler into `qpd` estimators ([`PreparedCut`]: each term circuit
+//!   simulated once; its exact value fixes its ±1 law).
 //! * [`mixed`] — extension (paper §VI future work): Bell-diagonal/Werner
 //!   resource states via Pauli-channel inversion, plus the
 //!   distill-then-cut pipeline ([`mixed::DistillThenCut`]) composing
 //!   DEJMPS/BBPSSW recurrence rounds with the inversion cut.
-//! * [`multi`] — extension: cutting several parallel wires
-//!   (κ = Π κᵢ, the paper's §VI exponential-overhead motivation).
+//! * [`multi`] — extension: cutting several parallel wires as the
+//!   product of their cuts (κ = Π κᵢ, the paper's §VI
+//!   exponential-overhead motivation).
 //! * [`mub`] — complete MUB sets for `d = 2ⁿ` via the Galois-field /
 //!   commuting-Pauli-partition construction (deterministic, memoized).
 //! * [`joint`] — extension: joint multi-wire cutting via mutually

@@ -259,8 +259,8 @@ impl WireCut for BellDiagonalCut {
                 label: format!("tel-then-{sigma}"),
                 pairs_consumed: 1.0,
                 circuit: Self::term_circuit_with_encoding(weights_ixzy, sigma),
-                input_qubit: 0,
-                output_qubit: 2,
+                input_qubits: vec![0],
+                output_qubits: vec![2],
                 resource_prep_len: 5,
             })
             .collect()

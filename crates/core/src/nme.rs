@@ -119,8 +119,8 @@ impl WireCut for NmeCut {
                 label: "tel-H".into(),
                 pairs_consumed: 1.0,
                 circuit: self.teleport_term_circuit(1),
-                input_qubit: 0,
-                output_qubit: 2,
+                input_qubits: vec![0],
+                output_qubits: vec![2],
                 resource_prep_len: 2,
             },
             CutTerm {
@@ -128,8 +128,8 @@ impl WireCut for NmeCut {
                 label: "tel-SH".into(),
                 pairs_consumed: 1.0,
                 circuit: self.teleport_term_circuit(2),
-                input_qubit: 0,
-                output_qubit: 2,
+                input_qubits: vec![0],
+                output_qubits: vec![2],
                 resource_prep_len: 2,
             },
         ];
@@ -139,8 +139,8 @@ impl WireCut for NmeCut {
                 label: "meas-prep-flip".into(),
                 pairs_consumed: 0.0,
                 circuit: harada::measure_prepare_flipped_circuit(),
-                input_qubit: 0,
-                output_qubit: 1,
+                input_qubits: vec![0],
+                output_qubits: vec![1],
                 resource_prep_len: 0,
             });
         }
@@ -177,8 +177,8 @@ impl WireCut for TeleportationPassthrough {
             label: "teleport".into(),
             pairs_consumed: 1.0,
             circuit: c,
-            input_qubit: 0,
-            output_qubit: 2,
+            input_qubits: vec![0],
+            output_qubits: vec![2],
             resource_prep_len: 2,
         }]
     }
@@ -222,8 +222,8 @@ mod tests {
         assert!((cut.kappa() - 3.0).abs() < 1e-12);
         // The reconstructed channels agree (both are the identity), and
         // the negative terms are literally the same circuit.
-        let d =
-            reconstructed_channel(&cut).distance(&reconstructed_channel(&crate::harada::HaradaCut));
+        let d = reconstructed_channel(&cut.terms())
+            .distance(&reconstructed_channel(&crate::harada::HaradaCut.terms()));
         assert!(d < 1e-9);
     }
 

@@ -84,8 +84,8 @@ impl WireCut for PengCut {
             label: label.into(),
             pairs_consumed: 0.0,
             circuit,
-            input_qubit: 0,
-            output_qubit: 1,
+            input_qubits: vec![0],
+            output_qubits: vec![1],
             resource_prep_len: 0,
         };
         vec![

@@ -48,9 +48,9 @@
 use crate::contract::{FragmentBlockSummary, FragmentBlocks};
 use crate::joint::JointWireCut;
 use crate::mub;
-use crate::multi::{MultiCutTerm, ParallelWireCut};
+use crate::multi::ParallelWireCut;
 use crate::nme::NmeCut;
-use crate::term::WireCut;
+use crate::term::{CutTerm, WireCut};
 use qpd::{BernoulliTerm, QpdSpec, TermSampler};
 use qsim::{fragments_by_width, Circuit, CompiledSampler, Fragment, Instruction, Op, PauliString};
 
@@ -119,9 +119,9 @@ impl CutGroup {
         protocol_spec(self.protocol, self.num_wires())
     }
 
-    /// The group's QPD term circuits (multi-wire term layout shared with
+    /// The group's QPD term circuits (the term layout of
     /// [`crate::multi`] / [`crate::joint`]).
-    pub fn terms(&self) -> Vec<MultiCutTerm> {
+    pub fn terms(&self) -> Vec<CutTerm> {
         match self.protocol {
             Protocol::Nme { k } => self.nme_cut(k).terms(),
             Protocol::JointMub => JointWireCut::new(self.num_wires()).terms(),
@@ -711,14 +711,14 @@ impl CompiledPlan {
             observable.is_diagonal(),
             "plan estimator supports diagonal (Z/I) observables"
         );
-        let group_terms: Vec<Vec<MultiCutTerm>> = plan.groups.iter().map(|g| g.terms()).collect();
+        let group_terms: Vec<Vec<CutTerm>> = plan.groups.iter().map(|g| g.terms()).collect();
         let (spec, lens) = plan_spec(plan);
         assert!(group_terms.iter().map(Vec::len).eq(lens));
         let mut backend_report = BackendReport::default();
         // Row-major enumeration, last group fastest — the same order
         // `QpdSpec::product` uses, so coefficients line up.
         let mut terms = Vec::with_capacity(spec.len());
-        let mut picked: Vec<&MultiCutTerm> = group_terms.iter().map(|ts| &ts[0]).collect();
+        let mut picked: Vec<&CutTerm> = group_terms.iter().map(|ts| &ts[0]).collect();
         for combo in 0..spec.len() {
             let mut rem = combo;
             for (slot, ts) in picked.iter_mut().zip(&group_terms).rev() {
@@ -888,7 +888,7 @@ fn plan_spec(plan: &CutPlan) -> (QpdSpec, Vec<usize>) {
 /// dropped.
 fn compile_combo(
     plan: &CutPlan,
-    picked: &[&MultiCutTerm],
+    picked: &[&CutTerm],
     observable: &PauliString,
     report: &mut BackendReport,
 ) -> f64 {
@@ -979,6 +979,7 @@ pub fn uncut_plan_expectation(circuit: &Circuit, observable: &PauliString) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::spec_of;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1041,9 +1042,9 @@ mod tests {
     fn group_specs_are_the_term_circuit_specs_bit_for_bit() {
         // `protocol_spec` builds no term circuit, yet must read exactly
         // what the term circuits carry: the coefficients and pair counts
-        // `ParallelWireCut::spec` folds term by term, and those of
-        // `JointWireCut::terms` at every width a plan may cut jointly.
-        // At k = 1 the measure-and-prepare term drops out.
+        // of the built product terms, and those of `JointWireCut::terms`
+        // at every width a plan may cut jointly. At k = 1 the
+        // measure-and-prepare term drops out.
         let bits = |terms: &[qpd::TermSpec]| -> Vec<(u64, u64)> {
             terms
                 .iter()
@@ -1054,7 +1055,7 @@ mod tests {
         for k in [1e-3, 0.2, 0.5, 0.73, 1.0].into_iter().chain(planned) {
             for wires in 1..=6 {
                 let spec = protocol_spec(Protocol::Nme { k }, wires);
-                let oracle = ParallelWireCut::uniform(NmeCut::new(k), wires).spec();
+                let oracle = spec_of(&ParallelWireCut::uniform(NmeCut::new(k), wires).terms());
                 assert_eq!(
                     bits(spec.terms()),
                     bits(oracle.terms()),
@@ -1065,16 +1066,9 @@ mod tests {
             }
         }
         for n in 1..=crate::contract::MAX_JOINT_WIRES {
-            let oracle: Vec<qpd::TermSpec> = JointWireCut::new(n)
-                .terms()
-                .iter()
-                .map(|t| qpd::TermSpec {
-                    coefficient: t.coefficient,
-                    pairs_consumed: t.pairs_consumed,
-                })
-                .collect();
+            let oracle = spec_of(&JointWireCut::new(n).terms());
             let spec = protocol_spec(Protocol::JointMub, n);
-            assert_eq!(bits(spec.terms()), bits(&oracle), "joint, {n} wires");
+            assert_eq!(bits(spec.terms()), bits(oracle.terms()), "joint, {n} wires");
         }
     }
 

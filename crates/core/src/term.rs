@@ -1,36 +1,42 @@
-//! Wire-cut abstraction: executable QPD terms and channel verification.
+//! Cut abstraction: executable QPD terms and channel verification.
 //!
-//! A wire cut replaces the identity channel on one qubit (Figure 1/4) by
-//! a signed combination of LOCC-implementable subcircuits, recombined as
-//! the QPD of Eq. 11–13. Every single-wire cut in this crate
-//! ([`crate::harada`], [`crate::peng`], [`crate::nme`], [`crate::mixed`])
-//! implements [`WireCut`]; the generic machinery here turns a cut into a
-//! [`qpd::QpdSpec`] plus executable circuits (compiled to samplers by
-//! [`crate::executor`]), and — crucially — verifies the defining
-//! identity `Σᵢ cᵢ Fᵢ = I` (Eq. 19/23) **exactly** at the channel level
-//! via density-matrix process tomography.
+//! A wire cut replaces the identity channel on one or more qubits
+//! (Figure 1/4) by a signed combination of LOCC-implementable
+//! subcircuits, recombined as the QPD of Eq. 11–13. Every cut in this
+//! crate is a list of [`CutTerm`]s behind the [`WireCut`] trait: the
+//! single-wire cuts ([`crate::harada`], [`crate::peng`], [`crate::nme`],
+//! [`crate::mixed`]), their products ([`crate::multi`]) and the joint
+//! multi-wire cuts ([`crate::joint`], [`crate::joint_nme`]); a
+//! single-wire cut is just the one-wire case, and the CZ gate cut of
+//! [`crate::gatecut`] reuses the same term type. The generic machinery
+//! here turns a cut into a [`qpd::QpdSpec`] plus executable circuits
+//! (compiled to samplers by [`crate::executor`]), and — crucially —
+//! verifies the defining identity `Σᵢ cᵢ Fᵢ = I` (Eq. 19/23) **exactly**
+//! at the channel level via density-matrix process tomography.
 
 use qlinalg::Matrix;
 use qpd::{QpdSpec, TermSpec};
 use qsim::{execute_density, Circuit, DensityMatrix, Superoperator};
 
-/// One executable wire-cut term.
+/// One executable cut term.
 #[derive(Clone, Debug)]
 pub struct CutTerm {
     /// Signed QPD coefficient `cᵢ`.
     pub coefficient: f64,
-    /// Display label.
+    /// Display label (a product term joins its factors' labels with `⊗`).
     pub label: String,
     /// Entangled pairs consumed per execution.
     pub pairs_consumed: f64,
-    /// The term circuit. The cut-input state enters on `input_qubit`; all
-    /// other qubits must start in `|0⟩` (resource preparation is part of
-    /// the circuit); the transmitted state leaves on `output_qubit`.
+    /// The term circuit. The cut-input state enters on `input_qubits`;
+    /// all other qubits must start in `|0⟩` (resource preparation is part
+    /// of the circuit); the transmitted state leaves on `output_qubits`.
     pub circuit: Circuit,
-    /// Qubit where the state to transmit enters.
-    pub input_qubit: usize,
-    /// Qubit where the transmitted state leaves.
-    pub output_qubit: usize,
+    /// Qubits where the state to transmit enters (`input_qubits[i]`
+    /// carries wire `i`).
+    pub input_qubits: Vec<usize>,
+    /// Qubits where the transmitted state leaves (`output_qubits[i]`
+    /// carries wire `i`).
+    pub output_qubits: Vec<usize>,
     /// Number of leading instructions that prepare the **pre-shared**
     /// resource state (entanglement distribution happens before the LOCC
     /// protocol starts, so these are exempt from locality checks).
@@ -38,7 +44,7 @@ pub struct CutTerm {
 }
 
 /// A wire-cutting scheme: a finite set of [`CutTerm`]s whose signed sum
-/// reproduces the single-qubit identity channel.
+/// reproduces the identity channel on the cut wires.
 pub trait WireCut: Send + Sync {
     /// Descriptive name (used in experiment output).
     fn name(&self) -> String;
@@ -48,15 +54,7 @@ pub trait WireCut: Send + Sync {
 
     /// Coefficient structure for the QPD estimators.
     fn spec(&self) -> QpdSpec {
-        QpdSpec::new(
-            self.terms()
-                .iter()
-                .map(|t| TermSpec {
-                    coefficient: t.coefficient,
-                    pairs_consumed: t.pairs_consumed,
-                })
-                .collect(),
-        )
+        spec_of(&self.terms())
     }
 
     /// The theoretical sampling overhead `κ = Σ|cᵢ|` of this realisation.
@@ -65,48 +63,77 @@ pub trait WireCut: Send + Sync {
     }
 }
 
-/// The exact single-qubit channel implemented by one term: probe the term
-/// circuit with matrix units on the input qubit (all ancillas `|0⟩`),
-/// simulate every measurement branch, and trace down to the output qubit.
+/// The coefficients and pair counts of `terms`, in term order.
+pub fn spec_of(terms: &[CutTerm]) -> QpdSpec {
+    QpdSpec::new(
+        terms
+            .iter()
+            .map(|t| TermSpec {
+                coefficient: t.coefficient,
+                pairs_consumed: t.pairs_consumed,
+            })
+            .collect(),
+    )
+}
+
+/// The exact channel implemented by one term, `2^|inputs|` to
+/// `2^|outputs|` dimensional: probe the term circuit with matrix units on
+/// the input qubits (all other qubits `|0⟩`), simulate every measurement
+/// branch, and trace down to the output qubits. Dense process tomography
+/// — `4^|inputs|` density-matrix simulations — so small widths only.
 pub fn term_channel(term: &CutTerm) -> Superoperator {
     let n = term.circuit.num_qubits();
-    Superoperator::from_linear_map(2, 2, |rho_in| {
-        let full = embed_input(rho_in, term.input_qubit, n);
+    let d_in = 1 << term.input_qubits.len();
+    let d_out = 1 << term.output_qubits.len();
+    Superoperator::from_linear_map(d_in, d_out, |rho_in| {
+        let full = embed_input(rho_in, &term.input_qubits, n);
         let out = execute_density(&term.circuit, &full);
-        out.partial_trace(&[term.output_qubit]).into_matrix()
+        out.partial_trace(&term.output_qubits).into_matrix()
     })
 }
 
-/// Embeds a single-qubit operator at `input_qubit` of an `n`-qubit
-/// register with `|0⟩⟨0|` everywhere else.
-pub fn embed_input(rho_in: &Matrix, input_qubit: usize, n: usize) -> DensityMatrix {
-    let mut full = Matrix::identity(1);
-    for q in (0..n).rev() {
-        if q == input_qubit {
-            full = full.kron(rho_in);
-        } else {
-            let mut zero = Matrix::zeros(2, 2);
-            zero[(0, 0)] = qlinalg::C_ONE;
-            full = full.kron(&zero);
+/// Embeds a `2^k × 2^k` operator on the listed qubits (`qubits[i]`
+/// carries bit `i`) with `|0⟩⟨0|` on every other qubit of an `n`-qubit
+/// register.
+pub fn embed_input(rho_in: &Matrix, qubits: &[usize], n: usize) -> DensityMatrix {
+    let k = qubits.len();
+    assert_eq!(rho_in.rows(), 1 << k);
+    let spread = |bits: usize| -> usize {
+        qubits
+            .iter()
+            .enumerate()
+            .fold(0, |idx, (b, &q)| idx | (((bits >> b) & 1) << q))
+    };
+    let mut full = Matrix::zeros(1 << n, 1 << n);
+    for r in 0..(1 << k) {
+        for c in 0..(1 << k) {
+            full[(spread(r), spread(c))] = rho_in[(r, c)];
         }
     }
     DensityMatrix::from_matrix(n, full)
 }
 
-/// The channel reconstructed by the full cut: `Σᵢ cᵢ · (term channel)ᵢ`.
-pub fn reconstructed_channel(cut: &dyn WireCut) -> Superoperator {
-    let mut acc = Superoperator::zero(2, 2);
-    for term in cut.terms() {
-        let ch = term_channel(&term);
-        acc.axpy(term.coefficient, &ch);
+/// The channel reconstructed by a term list: `Σᵢ cᵢ · (term channel)ᵢ`.
+///
+/// # Panics
+/// Panics if `terms` is empty or its terms differ in width.
+pub fn reconstructed_channel(terms: &[CutTerm]) -> Superoperator {
+    let d_in = 1 << terms[0].input_qubits.len();
+    let d_out = 1 << terms[0].output_qubits.len();
+    let mut acc = Superoperator::zero(d_in, d_out);
+    for term in terms {
+        acc.axpy(term.coefficient, &term_channel(term));
     }
     acc
 }
 
-/// Max-entry distance between the reconstructed channel and the identity —
-/// zero (to numerical precision) iff the cut is correct (Eq. 19/23).
+/// Max-entry distance between the reconstructed channel and the identity
+/// on the cut wires — zero (to numerical precision) iff the cut is
+/// correct (Eq. 19/23).
 pub fn identity_distance(cut: &dyn WireCut) -> f64 {
-    reconstructed_channel(cut).distance(&Superoperator::identity(2))
+    let terms = cut.terms();
+    let d = 1 << terms[0].input_qubits.len();
+    reconstructed_channel(&terms).distance(&Superoperator::identity(d))
 }
 
 /// Checks that every term is individually a **local** operation with
@@ -153,8 +180,8 @@ mod tests {
                 label: "identity".into(),
                 pairs_consumed: 0.0,
                 circuit: c,
-                input_qubit: 0,
-                output_qubit: 0,
+                input_qubits: vec![0],
+                output_qubits: vec![0],
                 resource_prep_len: 0,
             }]
         }
@@ -181,8 +208,8 @@ mod tests {
                 label: "x".into(),
                 pairs_consumed: 0.0,
                 circuit: c,
-                input_qubit: 0,
-                output_qubit: 0,
+                input_qubits: vec![0],
+                output_qubits: vec![0],
                 resource_prep_len: 0,
             }]
         }
@@ -202,8 +229,8 @@ mod tests {
             label: "h".into(),
             pairs_consumed: 0.0,
             circuit: c,
-            input_qubit: 0,
-            output_qubit: 0,
+            input_qubits: vec![0],
+            output_qubits: vec![0],
             resource_prep_len: 0,
         };
         let ch = term_channel(&term);
@@ -222,8 +249,8 @@ mod tests {
             label: "swap".into(),
             pairs_consumed: 0.0,
             circuit: c,
-            input_qubit: 0,
-            output_qubit: 1,
+            input_qubits: vec![0],
+            output_qubits: vec![1],
             resource_prep_len: 0,
         };
         let ch = term_channel(&term);
@@ -236,7 +263,7 @@ mod tests {
             vec![c64(0.25, 0.0), c64(0.1, 0.05)],
             vec![c64(0.1, -0.05), c64(0.75, 0.0)],
         ]);
-        let full = embed_input(&rho, 1, 3);
+        let full = embed_input(&rho, &[1], 3);
         assert_eq!(full.num_qubits(), 3);
         // Trace over others must recover rho on qubit 1.
         let back = full.partial_trace(&[1]);
@@ -244,6 +271,15 @@ mod tests {
         // Other qubits are |0⟩.
         let q0 = full.partial_trace(&[0]);
         assert!((q0.matrix()[(0, 0)].re - 1.0).abs() < 1e-12);
+        // A two-wire operator spread over qubits 0 and 2 of four comes
+        // back whole.
+        let rho = Matrix::from_fn(4, 4, |i, j| {
+            c64((i + j) as f64 * 0.05, (i as f64 - j as f64) * 0.01)
+        });
+        let herm = rho.add(&rho.dagger()).scale_re(0.5);
+        let full = embed_input(&herm, &[0, 2], 4);
+        let back = full.partial_trace(&[0, 2]);
+        assert!(back.matrix().approx_eq(&herm, 1e-12));
     }
 
     #[test]
@@ -255,8 +291,8 @@ mod tests {
             label: "bad".into(),
             pairs_consumed: 0.0,
             circuit: c,
-            input_qubit: 0,
-            output_qubit: 1,
+            input_qubits: vec![0],
+            output_qubits: vec![1],
             resource_prep_len: 0,
         };
         assert!(verify_locc_structure(&term, &[0]).is_err());

@@ -20,7 +20,7 @@ fn main() {
         config.overlaps.len(),
         config.shot_checkpoints.len(),
         if config.threads == 0 {
-            experiments::default_threads()
+            qsample::default_threads()
         } else {
             config.threads
         },

@@ -17,8 +17,8 @@ use qsample::StreamRng;
 use qsim::{Circuit, PauliString};
 use rand::Rng;
 use wirecut::joint::JointWireCut;
-use wirecut::multi::{MultiCutTerm, ParallelWireCut, PreparedMultiCut};
-use wirecut::NmeCut;
+use wirecut::multi::ParallelWireCut;
+use wirecut::{CutTerm, NmeCut, PreparedCut, WireCut};
 
 /// Stream tag for the sender-state lane (keyed by `(wires, state)`).
 const STATE_STREAM: u64 = 0xE11;
@@ -84,7 +84,7 @@ pub fn run(config: &JointConfig) -> Table {
     ]);
     // Per-wire invariants (QPD spec, term circuits, product cut) built
     // once, not once per (wires, state) shard.
-    let per_wire: Vec<(qpd::QpdSpec, Vec<MultiCutTerm>, ParallelWireCut)> = config
+    let per_wire: Vec<(qpd::QpdSpec, Vec<CutTerm>, ParallelWireCut)> = config
         .wire_counts
         .iter()
         .map(|&w| {
@@ -111,8 +111,9 @@ pub fn run(config: &JointConfig) -> Table {
             let prep = random_sender(w, &mut ctx.shared(&(STATE_STREAM, w as u64, s)));
             let exact = exact_zz(&prep);
             let compiled_joint =
-                PreparedMultiCut::from_terms(joint_spec.clone(), joint_terms, &prep, &observable);
-            let compiled_product = PreparedMultiCut::new(product, &prep, &observable);
+                PreparedCut::from_terms(joint_spec.clone(), joint_terms, &prep, &observable);
+            let compiled_product =
+                PreparedCut::from_terms(product.spec(), &product.terms(), &prep, &observable);
             debug_assert!((compiled_joint.exact_value() - exact).abs() < 1e-7);
             debug_assert!((compiled_product.exact_value() - exact).abs() < 1e-7);
             let rng = ctx.rng();

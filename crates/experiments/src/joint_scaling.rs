@@ -36,10 +36,10 @@ use qsim::{Circuit, PauliString};
 use rand::Rng;
 use wirecut::joint::JointWireCut;
 use wirecut::joint_nme::explore_joint_nme;
-use wirecut::multi::{MultiCutTerm, ParallelWireCut, PreparedMultiCut};
+use wirecut::multi::ParallelWireCut;
 use wirecut::planner::crossover_overlap;
 use wirecut::theory;
-use wirecut::NmeCut;
+use wirecut::{CutTerm, NmeCut, PreparedCut, WireCut};
 
 /// Configuration of the joint-scaling study.
 #[derive(Clone, Debug)]
@@ -192,7 +192,7 @@ pub fn shots_table(config: &JointScalingConfig) -> Table {
     let observable = |w: usize| PauliString::new(vec![qsim::Pauli::Z; w]);
     // Per-wire invariants (QPD spec, term circuits, product cut) built
     // once, not once per (wires, state) shard.
-    let per_wire: Vec<(qpd::QpdSpec, Vec<MultiCutTerm>, ParallelWireCut)> = config
+    let per_wire: Vec<(qpd::QpdSpec, Vec<CutTerm>, ParallelWireCut)> = config
         .shot_wires
         .iter()
         .map(|&w| {
@@ -220,13 +220,10 @@ pub fn shots_table(config: &JointScalingConfig) -> Table {
             let theta = ctx.shared(&(STATE_STREAM, s)).gen::<f64>() * std::f64::consts::PI;
             let prep = ghz_sender(w, theta);
             let exact = exact_all_z(&prep);
-            let compiled_joint = PreparedMultiCut::from_terms(
-                joint_spec.clone(),
-                joint_terms,
-                &prep,
-                &observable(w),
-            );
-            let compiled_product = PreparedMultiCut::new(product, &prep, &observable(w));
+            let compiled_joint =
+                PreparedCut::from_terms(joint_spec.clone(), joint_terms, &prep, &observable(w));
+            let compiled_product =
+                PreparedCut::from_terms(product.spec(), &product.terms(), &prep, &observable(w));
             let rng = ctx.rng();
             config
                 .shot_grid

@@ -22,9 +22,9 @@
 //! Infrastructure: every sweep runs on [`qsample::grid`] (the
 //! configuration-grid sharding engine: work-stealing over whole
 //! configurations with per-shard counter-based RNG streams and
-//! deterministic grid-order output); [`par`] (per-item seeds and the
-//! default worker count), [`stats`] (Welford accumulators, Wilson
-//! intervals), [`csvout`] (CSV/pretty tables into `results/`).
+//! deterministic grid-order output, and the default worker count);
+//! [`stats`] (Welford accumulators, Wilson intervals), [`csvout`]
+//! (CSV/pretty tables into `results/`).
 //!
 //! Each experiment has a matching binary (`cargo run --release -p
 //! experiments --bin <name>`) and a criterion bench in the `bench` crate.
@@ -41,7 +41,6 @@ pub mod joint_scaling;
 pub mod multicut;
 pub mod noise;
 pub mod overhead;
-pub mod par;
 pub mod plan_cut;
 pub mod service_load;
 pub mod stats;
@@ -51,7 +50,6 @@ pub mod werner;
 pub mod werner_sweep;
 
 pub use csvout::{results_dir, Table};
-pub use par::{default_threads, item_seed};
 pub use stats::RunningStats;
 
 /// Parses the shared `--threads N` CLI flag used by the experiment

@@ -11,8 +11,8 @@ use qsample::grid::ShardedGrid;
 use qsample::StreamRng;
 use qsim::{Circuit, PauliString};
 use rand::Rng;
-use wirecut::multi::{ParallelWireCut, PreparedMultiCut};
-use wirecut::NmeCut;
+use wirecut::multi::ParallelWireCut;
+use wirecut::{NmeCut, PreparedCut, WireCut};
 
 /// Stream tag for the sender-state lane, shared across overlaps (keyed
 /// by `(wires, state)`) so every entanglement level cuts the same
@@ -97,7 +97,7 @@ pub fn run(config: &MultiCutConfig) -> Table {
             let observable = PauliString::new(vec![qsim::Pauli::Z; w]);
             let prep = random_sender(w, &mut ctx.shared(&(STATE_STREAM, w as u64, s)));
             let exact = exact_zz(&prep);
-            let prepared = PreparedMultiCut::new(&cut, &prep, &observable);
+            let prepared = PreparedCut::from_terms(cut.spec(), &cut.terms(), &prep, &observable);
             debug_assert!((prepared.exact_value() - exact).abs() < 1e-8);
             let rng = ctx.rng();
             let mut acc = RunningStats::new();

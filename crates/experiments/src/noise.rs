@@ -31,7 +31,7 @@ const STATE_STREAM: u64 = 0xE12;
 pub fn noisy_term_expectation(term: &wirecut::CutTerm, w: &Matrix, noise: &NoiseModel) -> f64 {
     let n = term.circuit.num_qubits();
     let mut circuit = Circuit::new(n, term.circuit.num_clbits());
-    circuit.unitary1(w.clone(), term.input_qubit);
+    circuit.unitary1(w.clone(), term.input_qubits[0]);
     circuit.compose(&term.circuit);
     // Input density: |0…0⟩ everywhere (the W preparation is inside and is
     // itself subject to gate noise, like on a real device).
@@ -43,11 +43,11 @@ pub fn noisy_term_expectation(term: &wirecut::CutTerm, w: &Matrix, noise: &Noise
                 qlinalg::C_ZERO
             }
         }),
-        term.input_qubit,
+        &term.input_qubits,
         n,
     );
     let out = execute_density_noisy(&circuit, &rho_in, noise);
-    out.partial_trace(&[term.output_qubit])
+    out.partial_trace(&term.output_qubits)
         .expval_pauli(&PauliString::single(1, 0, Pauli::Z))
 }
 

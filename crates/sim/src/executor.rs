@@ -764,8 +764,8 @@ impl CompiledSampler {
     /// No production path draws shots this way: a cut term's ±1 law is
     /// fixed by its exact value and drawn as one binomial
     /// (`qpd::BernoulliTerm`). This stays as the per-shot reference that
-    /// `tests/statistical_equivalence.rs`, this module's tests and the
-    /// `wirecut::executor` oracle test hold the batched draws against.
+    /// `tests/statistical_equivalence.rs` and this module's tests hold
+    /// the batched draws against.
     pub fn sample_z<R: Rng + ?Sized>(&self, qubit: usize, rng: &mut R) -> f64 {
         let leaf = self.sample_leaf(rng);
         let p1 = leaf.state.prob_one(qubit);

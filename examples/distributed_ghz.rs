@@ -21,8 +21,8 @@
 
 use nme_wire_cutting::qpd::{estimate_allocated, Allocator};
 use nme_wire_cutting::qsim::{Circuit, PauliString, StateVector};
-use nme_wire_cutting::wirecut::multi::{ParallelWireCut, PreparedMultiCut};
-use nme_wire_cutting::wirecut::NmeCut;
+use nme_wire_cutting::wirecut::multi::ParallelWireCut;
+use nme_wire_cutting::wirecut::{NmeCut, PreparedCut, WireCut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,7 +47,12 @@ fn main() {
     println!("  ----------------------------------------------------");
     for f in [0.5, 0.7, 0.9, 1.0] {
         let cut = ParallelWireCut::uniform(NmeCut::from_overlap(f), 2);
-        let prepared = PreparedMultiCut::new(&cut, &sender, &PauliString::from_label("ZZ"));
+        let prepared = PreparedCut::from_terms(
+            cut.spec(),
+            &cut.terms(),
+            &sender,
+            &PauliString::from_label("ZZ"),
+        );
         // The product QPD still reproduces the exact value:
         assert!((prepared.exact_value() - exact).abs() < 1e-8);
         let est = estimate_allocated(
@@ -60,7 +65,7 @@ fn main() {
         let per_cut = NmeCut::from_overlap(f);
         println!(
             "   {f:.2}     {:.4}     {:.4}    {est:+.6}   {:.6}",
-            nme_wire_cutting::wirecut::WireCut::kappa(&per_cut),
+            per_cut.kappa(),
             cut.kappa(),
             (est - exact).abs()
         );

@@ -106,7 +106,7 @@ fn every_qpd_term_is_a_physical_channel() {
         }
     }
     // The reconstructed channel is the identity — also CPTP.
-    let rec = nme_wire_cutting::wirecut::reconstructed_channel(&NmeCut::new(0.3));
+    let rec = nme_wire_cutting::wirecut::reconstructed_channel(&NmeCut::new(0.3).terms());
     assert!(rec.is_cptp(1e-8));
 }
 

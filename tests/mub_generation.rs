@@ -7,6 +7,7 @@
 use nme_wire_cutting::qlinalg::{c64, Matrix};
 use nme_wire_cutting::wirecut::joint::{are_mutually_unbiased, JointWireCut};
 use nme_wire_cutting::wirecut::mub;
+use nme_wire_cutting::wirecut::WireCut;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
