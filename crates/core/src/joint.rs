@@ -607,6 +607,19 @@ mod tests {
     }
 
     #[test]
+    fn embed_input_multi_round_trip() {
+        // A two-wire operator spread over qubits 0 and 2 of four comes
+        // back whole.
+        let rho = Matrix::from_fn(4, 4, |i, j| {
+            c64((i + j) as f64 * 0.05, (i as f64 - j as f64) * 0.01)
+        });
+        let herm = rho.add(&rho.dagger()).scale_re(0.5);
+        let full = crate::term::embed_input(&herm, &[0, 2], 4);
+        let back = full.partial_trace(&[0, 2]);
+        assert!(back.matrix().approx_eq(&herm, 1e-12));
+    }
+
+    #[test]
     fn flip_term_is_trace_preserving() {
         for n in [1usize, 2] {
             let cut = JointWireCut::new(n);

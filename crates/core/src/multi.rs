@@ -132,6 +132,20 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn multi_term_batched_and_per_shot_paths_agree() {
+        use crate::executor::check_terms_against_circuit_oracle;
+        use crate::joint::JointWireCut;
+        let mut prep = Circuit::new(2, 0);
+        prep.ry(0.7, 0).cx(0, 1);
+        let zz = PauliString::from_label("ZZ");
+        let product = ParallelWireCut::uniform(NmeCut::new(0.5), 2);
+        let joint = JointWireCut::new(2);
+        let branching_terms = check_terms_against_circuit_oracle(&product, &prep, &zz, 600)
+            + check_terms_against_circuit_oracle(&joint, &prep, &zz, 700);
+        assert!(branching_terms > 0, "no term circuit measured mid-circuit");
+    }
+
+    #[test]
     fn product_kappa_is_exponential() {
         let double = ParallelWireCut::uniform(HaradaCut, 2);
         assert!((double.kappa() - 9.0).abs() < 1e-12);

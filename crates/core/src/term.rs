@@ -271,15 +271,6 @@ mod tests {
         // Other qubits are |0⟩.
         let q0 = full.partial_trace(&[0]);
         assert!((q0.matrix()[(0, 0)].re - 1.0).abs() < 1e-12);
-        // A two-wire operator spread over qubits 0 and 2 of four comes
-        // back whole.
-        let rho = Matrix::from_fn(4, 4, |i, j| {
-            c64((i + j) as f64 * 0.05, (i as f64 - j as f64) * 0.01)
-        });
-        let herm = rho.add(&rho.dagger()).scale_re(0.5);
-        let full = embed_input(&herm, &[0, 2], 4);
-        let back = full.partial_trace(&[0, 2]);
-        assert!(back.matrix().approx_eq(&herm, 1e-12));
     }
 
     #[test]
